@@ -171,7 +171,7 @@ fn run() -> Result<(), SalusError> {
     }
 
     let log = node.plane().audit_log();
-    log.verify_chain().map_err(SalusError::from)?;
+    log.verify().map_err(SalusError::from)?;
 
     latencies.sort_unstable();
     let p50 = percentile(&latencies, 50);

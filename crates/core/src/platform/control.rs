@@ -1611,7 +1611,7 @@ impl ControlPlane {
             survivor_suspensions,
         } = remains;
         journal.verify()?;
-        audit.verify_chain()?;
+        audit.verify()?;
 
         let now = shared.clock.now();
         let mut registry = TenantRegistry::new();
@@ -2062,10 +2062,10 @@ mod tests {
             other => panic!("expected rejection, got {other:?}"),
         }
         let log = plane.audit_log();
-        log.verify_chain().unwrap();
+        log.verify().unwrap();
         assert!(
             log.records().iter().any(|r| matches!(
-                &r.event,
+                &r.entry,
                 AuditEvent::PlacementRefused { tenant, .. } if *tenant == bob
             )),
             "cross-family refusal must be audited"
@@ -2092,8 +2092,8 @@ mod tests {
         plane.redeploy(alice).unwrap();
 
         let log = plane.audit_log();
-        log.verify_chain().unwrap();
-        let events: Vec<AuditEvent> = log.records().iter().map(|r| r.event.clone()).collect();
+        log.verify().unwrap();
+        let events: Vec<AuditEvent> = log.records().iter().map(|r| r.entry.clone()).collect();
         assert_eq!(
             events,
             vec![
@@ -2133,14 +2133,14 @@ mod tests {
         assert_eq!(plane.free_slots(), 2, "fenced lease must be released");
 
         let log = plane.audit_log();
-        log.verify_chain().unwrap();
-        assert!(log.records().iter().any(|r| r.event
+        log.verify().unwrap();
+        assert!(log.records().iter().any(|r| r.entry
             == AuditEvent::SessionFenced {
                 tenant: alice,
                 slot
             }));
         assert!(log.records().iter().any(|r| matches!(
-            r.event,
+            r.entry,
             AuditEvent::HealthTransition {
                 state: HealthState::Quarantined,
                 ..

@@ -11,20 +11,22 @@
 //! and tenant records, and rolls back — or rolls forward, when the
 //! effects are durably present — whatever was still open.
 //!
-//! Records are SHA-256 hash-chained exactly like the audit log
-//! (`platform::audit`): sequence number, virtual timestamp, previous
-//! digest, and the entry itself, digested under a journal-specific
-//! domain separator. [`Journal::verify`] pinpoints the first forged,
-//! reordered, or truncated record — including a commit or abort that
-//! references an intent the journal never opened — and
-//! [`Journal::to_bytes`] / [`Journal::from_bytes`] give a canonical
-//! serialization that rejects any bit flip.
+//! Records live in a [`HashChain`] (`platform::chain`), the same
+//! primitive as the audit log, under the `salus-journal` digest domain.
+//! [`Journal::verify`] pinpoints the first forged, reordered, or
+//! truncated record — including a commit or abort that references an
+//! intent the journal never opened — and [`HashChain::to_bytes`] /
+//! [`HashChain::from_bytes`] give a canonical serialization that
+//! rejects any bit flip.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::time::Duration;
 
-use salus_crypto::sha256::{Digest, Sha256};
-
+use super::chain::{
+    deploy_path, path_tag, push_duration, push_slot, push_str, push_u64, ChainEntry, ChainFault,
+    ChainRecord, Cursor, HashChain,
+};
 use super::fleet::{DeployPath, SlotId, TenantId};
 use crate::SalusError;
 
@@ -201,195 +203,73 @@ const OP_ABANDON: u8 = 7;
 
 const PATH_NONE: u8 = 255;
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_slot(out: &mut Vec<u8>, slot: SlotId) {
-    push_u64(out, slot.device as u64);
-    push_u64(out, slot.partition as u64);
-}
-
-fn path_tag(path: Option<DeployPath>) -> u8 {
-    match path {
-        None => PATH_NONE,
-        Some(DeployPath::Cold) => 0,
-        Some(DeployPath::WarmKey) => 1,
-        Some(DeployPath::WarmImage) => 2,
-    }
-}
-
-/// Bounded little-endian reader over a serialized journal.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SalusError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(SalusError::JournalCorrupt("truncated record bytes"))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, SalusError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SalusError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, SalusError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn digest(&mut self) -> Result<Digest, SalusError> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
-
-    fn string(&mut self) -> Result<String, SalusError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= self.bytes.len())
-            .ok_or(SalusError::JournalCorrupt("oversized string length"))?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| SalusError::JournalCorrupt("non-utf8 string"))
-    }
-
-    fn slot(&mut self) -> Result<SlotId, SalusError> {
-        Ok(SlotId {
-            device: self.u64()? as usize,
-            partition: self.u64()? as usize,
-        })
-    }
-
-    fn duration(&mut self) -> Result<Duration, SalusError> {
-        let nanos = self.u128()?;
-        Ok(Duration::from_nanos(u64::try_from(nanos).map_err(
-            |_| SalusError::JournalCorrupt("duration out of range"),
-        )?))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
 impl IntentOp {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn tag(&self) -> u8 {
         match self {
-            IntentOp::Register { tenant, name, seed } => {
-                out.push(OP_REGISTER);
-                push_u64(out, tenant.0);
-                push_str(out, name);
-                push_u64(out, *seed);
-            }
-            IntentOp::Deploy { tenant, slot } => {
-                out.push(OP_DEPLOY);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Resume { tenant, slot } => {
-                out.push(OP_RESUME);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Evict { tenant, slot } => {
-                out.push(OP_EVICT);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Redeploy { tenant, slot } => {
-                out.push(OP_REDEPLOY);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Fence { tenant, slot } => {
-                out.push(OP_FENCE);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Abandon { tenant, slot } => {
-                out.push(OP_ABANDON);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
+            IntentOp::Register { .. } => OP_REGISTER,
+            IntentOp::Deploy { .. } => OP_DEPLOY,
+            IntentOp::Resume { .. } => OP_RESUME,
+            IntentOp::Evict { .. } => OP_EVICT,
+            IntentOp::Redeploy { .. } => OP_REDEPLOY,
+            IntentOp::Fence { .. } => OP_FENCE,
+            IntentOp::Abandon { .. } => OP_ABANDON,
         }
     }
 
-    fn decode(cur: &mut Cursor<'_>) -> Result<IntentOp, SalusError> {
-        Ok(match cur.u8()? {
-            OP_REGISTER => IntentOp::Register {
-                tenant: TenantId(cur.u64()?),
-                name: cur.string()?,
-                seed: cur.u64()?,
-            },
-            OP_DEPLOY => IntentOp::Deploy {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_RESUME => IntentOp::Resume {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_EVICT => IntentOp::Evict {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_REDEPLOY => IntentOp::Redeploy {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_FENCE => IntentOp::Fence {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_ABANDON => IntentOp::Abandon {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            _ => return Err(SalusError::JournalCorrupt("unknown intent op")),
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        push_u64(out, self.tenant().0);
+        if let IntentOp::Register { name, seed, .. } = self {
+            push_str(out, name);
+            push_u64(out, *seed);
+        }
+        if let Some(slot) = self.slot() {
+            push_slot(out, slot);
+        }
+    }
+
+    fn decode(cur: &mut Cursor<'_>) -> Result<IntentOp, &'static str> {
+        let tag = cur.u8()?;
+        let tenant = TenantId(cur.u64()?);
+        if tag == OP_REGISTER {
+            let name = cur.string()?;
+            let seed = cur.u64()?;
+            return Ok(IntentOp::Register { tenant, name, seed });
+        }
+        let slot = cur.slot()?;
+        Ok(match tag {
+            OP_DEPLOY => IntentOp::Deploy { tenant, slot },
+            OP_RESUME => IntentOp::Resume { tenant, slot },
+            OP_EVICT => IntentOp::Evict { tenant, slot },
+            OP_REDEPLOY => IntentOp::Redeploy { tenant, slot },
+            OP_FENCE => IntentOp::Fence { tenant, slot },
+            OP_ABANDON => IntentOp::Abandon { tenant, slot },
+            _ => return Err("unknown intent op"),
         })
     }
 }
 
-impl JournalEntry {
-    /// Canonical byte encoding: one tag byte, then the fields in
-    /// declaration order, little-endian, strings length-prefixed.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+impl ChainEntry for JournalEntry {
+    const DOMAIN: &'static str = "salus-journal";
+    const MAGIC: [u8; 16] = *b"salus-journal\0\0\0";
+
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             JournalEntry::Intent { op, action } => {
                 out.push(TAG_INTENT);
-                push_u64(&mut out, op.0);
-                action.encode(&mut out);
+                push_u64(out, op.0);
+                action.encode(out);
             }
             JournalEntry::Commit { op, path, elapsed } => {
                 out.push(TAG_COMMIT);
-                push_u64(&mut out, op.0);
-                out.push(path_tag(*path));
-                out.extend_from_slice(&elapsed.as_nanos().to_le_bytes());
+                push_u64(out, op.0);
+                out.push(path.map_or(PATH_NONE, path_tag));
+                push_duration(out, *elapsed);
             }
             JournalEntry::Abort { op, reason, kind } => {
                 out.push(TAG_ABORT);
-                push_u64(&mut out, op.0);
-                push_str(&mut out, reason);
+                push_u64(out, op.0);
+                push_str(out, reason);
                 out.push(match kind {
                     AbortKind::Failed => 0,
                     AbortKind::RolledBack => 1,
@@ -397,14 +277,13 @@ impl JournalEntry {
             }
             JournalEntry::Suspend { op, step } => {
                 out.push(TAG_SUSPEND);
-                push_u64(&mut out, op.0);
-                push_str(&mut out, step);
+                push_u64(out, op.0);
+                push_str(out, step);
             }
         }
-        out
     }
 
-    fn decode(cur: &mut Cursor<'_>) -> Result<JournalEntry, SalusError> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<JournalEntry, &'static str> {
         Ok(match cur.u8()? {
             TAG_INTENT => JournalEntry::Intent {
                 op: OpId(cur.u64()?),
@@ -414,10 +293,7 @@ impl JournalEntry {
                 op: OpId(cur.u64()?),
                 path: match cur.u8()? {
                     PATH_NONE => None,
-                    0 => Some(DeployPath::Cold),
-                    1 => Some(DeployPath::WarmKey),
-                    2 => Some(DeployPath::WarmImage),
-                    _ => return Err(SalusError::JournalCorrupt("unknown deploy path")),
+                    tag => Some(deploy_path(tag)?),
                 },
                 elapsed: cur.duration()?,
             },
@@ -427,104 +303,24 @@ impl JournalEntry {
                 kind: match cur.u8()? {
                     0 => AbortKind::Failed,
                     1 => AbortKind::RolledBack,
-                    _ => return Err(SalusError::JournalCorrupt("unknown abort kind")),
+                    _ => return Err("unknown abort kind"),
                 },
             },
             TAG_SUSPEND => JournalEntry::Suspend {
                 op: OpId(cur.u64()?),
                 step: cur.string()?,
             },
-            _ => return Err(SalusError::JournalCorrupt("unknown entry tag")),
+            _ => return Err("unknown entry tag"),
         })
     }
-}
 
-/// One hash-chained journal record. Public fields for recovery drivers
-/// and tamper-evidence tests (which rebuild journals from deliberately
-/// corrupted records via [`Journal::from_records`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
-    /// Position in the chain, starting at 0.
-    pub seq: u64,
-    /// Virtual timestamp the entry was appended at.
-    pub at: Duration,
-    /// Digest of the previous record ([`Journal::genesis`] for the
-    /// first).
-    pub prev_digest: Digest,
-    /// The entry itself.
-    pub entry: JournalEntry,
-    /// Domain-separated SHA-256 over seq, timestamp, `prev_digest`, and
-    /// the canonical entry bytes.
-    pub digest: Digest,
-}
-
-impl JournalRecord {
-    /// Recomputes what this record's digest must be from its own
-    /// fields.
-    pub fn expected_digest(&self) -> Digest {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"salus-journal-record");
-        push_u64(&mut buf, self.seq);
-        buf.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        buf.extend_from_slice(&self.prev_digest);
-        buf.extend_from_slice(&self.entry.to_bytes());
-        Sha256::digest(&buf)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.seq);
-        out.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        out.extend_from_slice(&self.prev_digest);
-        let entry = self.entry.to_bytes();
-        push_u64(out, entry.len() as u64);
-        out.extend_from_slice(&entry);
-        out.extend_from_slice(&self.digest);
-    }
-
-    fn decode(cur: &mut Cursor<'_>) -> Result<JournalRecord, SalusError> {
-        let seq = cur.u64()?;
-        let at = cur.duration()?;
-        let prev_digest = cur.digest()?;
-        let entry_len = cur.u64()?;
-        let entry_len = usize::try_from(entry_len)
-            .map_err(|_| SalusError::JournalCorrupt("oversized entry length"))?;
-        let entry_bytes = cur.take(entry_len)?;
-        let mut entry_cur = Cursor::new(entry_bytes);
-        let entry = JournalEntry::decode(&mut entry_cur)?;
-        if !entry_cur.done() {
-            return Err(SalusError::JournalCorrupt("trailing entry bytes"));
-        }
-        let digest = cur.digest()?;
-        Ok(JournalRecord {
-            seq,
-            at,
-            prev_digest,
-            entry,
-            digest,
-        })
+    fn error(reason: &'static str) -> SalusError {
+        SalusError::JournalCorrupt(reason)
     }
 }
 
-/// Where [`Journal::verify`] found the journal broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalFault {
-    /// Index of the first record that fails verification.
-    pub index: usize,
-    /// What is wrong with it.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for JournalFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "journal record {}: {}", self.index, self.reason)
-    }
-}
-
-impl From<JournalFault> for SalusError {
-    fn from(fault: JournalFault) -> SalusError {
-        SalusError::JournalCorrupt(fault.reason)
-    }
-}
+/// One hash-chained journal record.
+pub type JournalRecord = ChainRecord<JournalEntry>;
 
 /// One still-unsettled operation, as reported by [`Journal::open_ops`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -540,11 +336,38 @@ pub struct OpenOp {
 }
 
 /// The write-ahead journal itself: an append-only hash chain plus the
-/// op-id counter.
+/// op-id counter. Derefs to the chain for read access (head, records,
+/// serialization); appends go only through the op lifecycle below.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Journal {
-    records: Vec<JournalRecord>,
+    chain: HashChain<JournalEntry>,
     next_op: u64,
+}
+
+impl Deref for Journal {
+    type Target = HashChain<JournalEntry>;
+
+    fn deref(&self) -> &HashChain<JournalEntry> {
+        &self.chain
+    }
+}
+
+/// Adopts a decoded or hand-built chain *without* verifying it; run
+/// [`Journal::verify`] afterwards. The op counter resumes after the
+/// highest intent id present.
+impl From<HashChain<JournalEntry>> for Journal {
+    fn from(chain: HashChain<JournalEntry>) -> Journal {
+        let next_op = chain
+            .records()
+            .iter()
+            .filter_map(|r| match &r.entry {
+                JournalEntry::Intent { op, .. } => Some(op.0 + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        Journal { chain, next_op }
+    }
 }
 
 impl Journal {
@@ -553,58 +376,24 @@ impl Journal {
         Journal::default()
     }
 
-    /// The fixed digest the first record chains from.
-    pub fn genesis() -> Digest {
-        Sha256::digest(b"salus-journal-genesis")
-    }
-
-    /// Rebuilds a journal from raw records *without* verifying them;
-    /// run [`verify`](Journal::verify) afterwards. The op counter
-    /// resumes after the highest intent id present.
-    pub fn from_records(records: Vec<JournalRecord>) -> Journal {
-        let next_op = records
-            .iter()
-            .filter_map(|r| match &r.entry {
-                JournalEntry::Intent { op, .. } => Some(op.0 + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        Journal { records, next_op }
-    }
-
-    fn append(&mut self, at: Duration, entry: JournalEntry) -> Digest {
-        let prev_digest = self.head();
-        let mut record = JournalRecord {
-            seq: self.records.len() as u64,
-            at,
-            prev_digest,
-            entry,
-            digest: [0; 32],
-        };
-        record.digest = record.expected_digest();
-        let head = record.digest;
-        self.records.push(record);
-        head
-    }
-
     /// Opens a new operation: appends its intent record at virtual time
     /// `at` and returns the assigned id.
     pub fn begin(&mut self, at: Duration, action: IntentOp) -> OpId {
         let op = OpId(self.next_op);
         self.next_op += 1;
-        self.append(at, JournalEntry::Intent { op, action });
+        self.chain.append(at, JournalEntry::Intent { op, action });
         op
     }
 
     /// Commits `op`: every effect of the operation is in place.
     pub fn commit(&mut self, at: Duration, op: OpId, path: Option<DeployPath>, elapsed: Duration) {
-        self.append(at, JournalEntry::Commit { op, path, elapsed });
+        self.chain
+            .append(at, JournalEntry::Commit { op, path, elapsed });
     }
 
     /// Closes `op` without its effects.
     pub fn abort(&mut self, at: Duration, op: OpId, reason: &str, kind: AbortKind) {
-        self.append(
+        self.chain.append(
             at,
             JournalEntry::Abort {
                 op,
@@ -616,7 +405,7 @@ impl Journal {
 
     /// Parks `op` resumable at boot step `step`.
     pub fn suspend(&mut self, at: Duration, op: OpId, step: &str) {
-        self.append(
+        self.chain.append(
             at,
             JournalEntry::Suspend {
                 op,
@@ -625,47 +414,25 @@ impl Journal {
         );
     }
 
-    /// The digest of the latest record (the genesis digest when empty).
-    pub fn head(&self) -> Digest {
-        self.records
-            .last()
-            .map(|r| r.digest)
-            .unwrap_or_else(Journal::genesis)
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing was ever journaled.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The records, oldest first.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
     /// Every operation with an intent but no commit or abort, in op
     /// order — the set recovery must settle.
     pub fn open_ops(&self) -> Vec<OpenOp> {
         let mut open: Vec<OpenOp> = Vec::new();
-        for record in &self.records {
+        for record in self.chain.records() {
+            let op = record.entry.op();
             match &record.entry {
-                JournalEntry::Intent { op, action } => open.push(OpenOp {
-                    op: *op,
+                JournalEntry::Intent { action, .. } => open.push(OpenOp {
+                    op,
                     action: action.clone(),
                     suspended: false,
                 }),
-                JournalEntry::Commit { op, .. } | JournalEntry::Abort { op, .. } => {
-                    open.retain(|o| o.op != *op);
-                }
-                JournalEntry::Suspend { op, .. } => {
-                    if let Some(o) = open.iter_mut().find(|o| o.op == *op) {
+                JournalEntry::Suspend { .. } => {
+                    if let Some(o) = open.iter_mut().find(|o| o.op == op) {
                         o.suspended = true;
                     }
+                }
+                JournalEntry::Commit { .. } | JournalEntry::Abort { .. } => {
+                    open.retain(|o| o.op != op);
                 }
             }
         }
@@ -673,215 +440,104 @@ impl Journal {
         open
     }
 
-    /// Walks the whole chain and reports the first record that breaks
-    /// it: wrong genesis anchor, non-contiguous sequence numbers, time
-    /// running backwards, a digest not matching the record's fields, a
-    /// record not chaining from its predecessor — or a commit, abort,
-    /// or suspend referencing an operation the journal never opened
-    /// (or already settled), which a replayer must never trust.
+    /// [`HashChain::verify`] plus the op lifecycle: a commit, abort, or
+    /// suspend referencing an operation the journal never opened (or
+    /// already settled), or an intent reusing an op id, is a record a
+    /// replayer must never trust.
     ///
     /// # Errors
     ///
-    /// [`JournalFault`] naming the first bad record.
-    pub fn verify(&self) -> Result<(), JournalFault> {
-        let mut prev_digest = Journal::genesis();
-        let mut prev_at = Duration::ZERO;
+    /// [`ChainFault`] naming the first bad record.
+    pub fn verify(&self) -> Result<(), ChainFault> {
         // OpId → settled? (false = open, true = committed/aborted)
         let mut ops: HashMap<OpId, bool> = HashMap::new();
-        for (index, record) in self.records.iter().enumerate() {
-            if record.seq != index as u64 {
-                return Err(JournalFault {
-                    index,
-                    reason: "sequence number out of order",
-                });
-            }
-            if record.at < prev_at {
-                return Err(JournalFault {
-                    index,
-                    reason: "timestamp runs backwards",
-                });
-            }
-            if record.prev_digest != prev_digest {
-                return Err(JournalFault {
-                    index,
-                    reason: "does not chain from predecessor",
-                });
-            }
-            if record.digest != record.expected_digest() {
-                return Err(JournalFault {
-                    index,
-                    reason: "digest does not match record contents",
-                });
-            }
-            match &record.entry {
-                JournalEntry::Intent { op, .. } => {
-                    if ops.insert(*op, false).is_some() {
-                        return Err(JournalFault {
-                            index,
-                            reason: "intent reuses an op id",
-                        });
-                    }
+        self.chain.verify_with(|entry| {
+            let op = entry.op();
+            match (entry, ops.get(&op).copied()) {
+                (JournalEntry::Intent { .. }, None) => {
+                    ops.insert(op, false);
+                    Ok(())
                 }
-                JournalEntry::Commit { op, .. } | JournalEntry::Abort { op, .. } => {
-                    match ops.get_mut(op) {
-                        Some(settled @ false) => *settled = true,
-                        Some(true) => {
-                            return Err(JournalFault {
-                                index,
-                                reason: "op settled twice",
-                            })
-                        }
-                        None => {
-                            return Err(JournalFault {
-                                index,
-                                reason: "references an op with no intent",
-                            })
-                        }
-                    }
+                (JournalEntry::Intent { .. }, Some(_)) => Err("intent reuses an op id"),
+                (_, None) => Err("references an op with no intent"),
+                (JournalEntry::Suspend { .. }, Some(false)) => Ok(()),
+                (JournalEntry::Suspend { .. }, Some(true)) => Err("suspend on a settled op"),
+                (_, Some(true)) => Err("op settled twice"),
+                (_, Some(false)) => {
+                    ops.insert(op, true);
+                    Ok(())
                 }
-                JournalEntry::Suspend { op, .. } => match ops.get(op) {
-                    Some(false) => {}
-                    Some(true) => {
-                        return Err(JournalFault {
-                            index,
-                            reason: "suspend on a settled op",
-                        })
-                    }
-                    None => {
-                        return Err(JournalFault {
-                            index,
-                            reason: "references an op with no intent",
-                        })
-                    }
-                },
             }
-            prev_digest = record.digest;
-            prev_at = record.at;
-        }
-        Ok(())
-    }
-
-    /// Canonical serialization of the whole journal: magic, record
-    /// count, then each record little-endian. Two journals holding the
-    /// same history serialize identically.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"salus-journal\0\0\0");
-        push_u64(&mut out, self.records.len() as u64);
-        for record in &self.records {
-            record.encode(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a serialized journal. Decoding checks structure only;
-    /// run [`verify`](Journal::verify) on the result for integrity.
-    ///
-    /// # Errors
-    ///
-    /// [`SalusError::JournalCorrupt`] on any malformed framing.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Journal, SalusError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(16)? != b"salus-journal\0\0\0".as_slice() {
-            return Err(SalusError::JournalCorrupt("bad journal magic"));
-        }
-        let count = cur.u64()?;
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&c| c <= bytes.len())
-            .ok_or(SalusError::JournalCorrupt("implausible record count"))?;
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(JournalRecord::decode(&mut cur)?);
-        }
-        if !cur.done() {
-            return Err(SalusError::JournalCorrupt("trailing journal bytes"));
-        }
-        Ok(Journal::from_records(records))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::chain::tests::Sample;
     use salus_net::fault::SplitMix64;
 
-    fn slot(device: usize, partition: usize) -> SlotId {
-        SlotId { device, partition }
-    }
-
-    /// A seeded, structurally valid journal: every op opens with an
-    /// intent and settles (or suspends) in op order.
-    fn seeded_journal(seed: u64, ops: usize) -> Journal {
-        let mut rng = SplitMix64::new(seed);
-        let mut journal = Journal::new();
-        let mut at = Duration::ZERO;
-        for i in 0..ops {
-            at += Duration::from_millis(rng.below(40));
+    impl Sample for JournalEntry {
+        fn sample(rng: &mut SplitMix64, i: usize) -> JournalEntry {
+            let op = OpId(rng.below(8));
             let tenant = TenantId(rng.below(4));
-            let s = slot(rng.below(3) as usize, rng.below(2) as usize);
-            let action = match rng.below(7) {
-                0 => IntentOp::Register {
-                    tenant,
-                    name: format!("tenant-{i}"),
-                    seed: rng.next_u64(),
-                },
-                1 => IntentOp::Deploy { tenant, slot: s },
-                2 => IntentOp::Resume { tenant, slot: s },
-                3 => IntentOp::Evict { tenant, slot: s },
-                4 => IntentOp::Redeploy { tenant, slot: s },
-                5 => IntentOp::Fence { tenant, slot: s },
-                _ => IntentOp::Abandon { tenant, slot: s },
+            let s = SlotId {
+                device: rng.below(3) as usize,
+                partition: rng.below(2) as usize,
             };
-            let op = journal.begin(at, action);
             match rng.below(4) {
-                0 => journal.abort(at, op, &format!("boot error {i}"), AbortKind::Failed),
-                1 => journal.suspend(at, op, "DeviceKeyTransfer"),
-                2 => journal.commit(at, op, Some(DeployPath::Cold), Duration::from_millis(3)),
-                _ => journal.commit(at, op, None, Duration::ZERO),
+                0 => JournalEntry::Intent {
+                    op,
+                    action: match rng.below(7) {
+                        0 => IntentOp::Register {
+                            tenant,
+                            name: format!("tenant-{i}"),
+                            seed: rng.next_u64(),
+                        },
+                        1 => IntentOp::Deploy { tenant, slot: s },
+                        2 => IntentOp::Resume { tenant, slot: s },
+                        3 => IntentOp::Evict { tenant, slot: s },
+                        4 => IntentOp::Redeploy { tenant, slot: s },
+                        5 => IntentOp::Fence { tenant, slot: s },
+                        _ => IntentOp::Abandon { tenant, slot: s },
+                    },
+                },
+                1 => JournalEntry::Commit {
+                    op,
+                    // Tag 3 is no path: a commit of a non-deploy op.
+                    path: deploy_path(rng.below(4) as u8).ok(),
+                    elapsed: Duration::from_millis(rng.below(9)),
+                },
+                2 => JournalEntry::Abort {
+                    op,
+                    reason: format!("boot error {i}"),
+                    kind: [AbortKind::Failed, AbortKind::RolledBack][rng.below(2) as usize],
+                },
+                _ => JournalEntry::Suspend {
+                    op,
+                    step: format!("step-{}", rng.below(19)),
+                },
             }
         }
-        journal
     }
 
-    #[test]
-    fn empty_journal_verifies_and_anchors_at_genesis() {
-        let journal = Journal::new();
-        assert!(journal.is_empty());
-        assert_eq!(journal.head(), Journal::genesis());
-        assert_ne!(Journal::genesis(), super::super::audit::AuditLog::genesis());
-        journal.verify().unwrap();
-        assert!(journal.open_ops().is_empty());
-    }
-
-    #[test]
-    fn appended_chain_verifies_and_head_commits_to_history() {
-        let journal = seeded_journal(11, 25);
-        journal.verify().unwrap();
-        let again = seeded_journal(11, 25);
-        assert_eq!(journal.to_bytes(), again.to_bytes());
-        assert_eq!(journal.head(), again.head());
-        assert_ne!(journal.head(), seeded_journal(12, 25).head());
+    fn deploy(tenant: u64) -> IntentOp {
+        IntentOp::Deploy {
+            tenant: TenantId(tenant),
+            slot: SlotId {
+                device: 0,
+                partition: 0,
+            },
+        }
     }
 
     #[test]
     fn open_ops_tracks_intents_until_settled() {
         let mut journal = Journal::new();
         let t = Duration::ZERO;
-        let a = journal.begin(
-            t,
-            IntentOp::Deploy {
-                tenant: TenantId(1),
-                slot: slot(0, 0),
-            },
-        );
-        let b = journal.begin(
-            t,
-            IntentOp::Evict {
-                tenant: TenantId(2),
-                slot: slot(1, 0),
-            },
-        );
+        let a = journal.begin(t, deploy(1));
+        let b = journal.begin(t, deploy(2));
         assert_eq!(journal.open_ops().len(), 2);
 
         journal.suspend(t, a, "DeviceKeyTransfer");
@@ -896,35 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn forged_reordered_and_truncated_records_are_pinpointed() {
-        let journal = seeded_journal(21, 12);
-
-        let mut records = journal.records().to_vec();
-        records[5].at += Duration::from_secs(1);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 5);
-        assert_eq!(fault.reason, "digest does not match record contents");
-
-        let mut records = journal.records().to_vec();
-        records.swap(3, 4);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 3, "first displaced record: {fault}");
-
-        let mut records = journal.records().to_vec();
-        records.remove(6);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 6, "first record after the gap: {fault}");
-
-        // Tail truncation still verifies — pinning the exported head
-        // (FleetSnapshot.journal_head) is the defense, as for audit.
-        let mut tail_cut = journal.records().to_vec();
-        tail_cut.truncate(8);
-        let shorter = Journal::from_records(tail_cut);
-        shorter.verify().unwrap();
-        assert_ne!(shorter.head(), journal.head());
-    }
-
-    #[test]
     fn dangling_and_double_settlements_are_rejected() {
         let t = Duration::ZERO;
 
@@ -936,93 +563,46 @@ mod tests {
 
         // Settling one op twice.
         let mut journal = Journal::new();
-        let op = journal.begin(
-            t,
-            IntentOp::Fence {
-                tenant: TenantId(1),
-                slot: slot(0, 0),
-            },
-        );
+        let op = journal.begin(t, deploy(1));
         journal.commit(t, op, None, Duration::ZERO);
         journal.abort(t, op, "again", AbortKind::Failed);
         let fault = journal.verify().unwrap_err();
         assert_eq!(fault.index, 2);
         assert_eq!(fault.reason, "op settled twice");
+        assert_eq!(
+            SalusError::from(fault),
+            SalusError::JournalCorrupt("op settled twice")
+        );
 
         // Reused intent id.
         let mut journal = Journal::new();
-        journal.begin(
-            t,
-            IntentOp::Register {
-                tenant: TenantId(0),
-                name: "a".into(),
-                seed: 1,
-            },
-        );
+        journal.begin(t, deploy(0));
         let mut records = journal.records().to_vec();
         let mut dup = records[0].clone();
         dup.seq = 1;
         dup.prev_digest = records[0].digest;
         dup.digest = dup.expected_digest();
         records.push(dup);
-        let fault = Journal::from_records(records).verify().unwrap_err();
+        let fault = Journal::from(HashChain::from_records(records))
+            .verify()
+            .unwrap_err();
         assert_eq!(fault.index, 1);
         assert_eq!(fault.reason, "intent reuses an op id");
     }
 
     #[test]
-    fn roundtrip_preserves_records_and_op_counter() {
-        let journal = seeded_journal(31, 18);
-        let decoded = Journal::from_bytes(&journal.to_bytes()).unwrap();
+    fn decoded_journal_resumes_the_op_counter() {
+        let mut journal = Journal::new();
+        let t = Duration::ZERO;
+        for tenant in 0..3 {
+            let op = journal.begin(t, deploy(tenant));
+            journal.commit(t, op, Some(DeployPath::Cold), Duration::from_millis(3));
+        }
+        let mut decoded = Journal::from(HashChain::from_bytes(&journal.to_bytes()).unwrap());
         assert_eq!(decoded, journal);
         decoded.verify().unwrap();
 
         // The restored op counter continues, never reuses.
-        let mut decoded = decoded;
-        let op = decoded.begin(
-            Duration::from_secs(3600),
-            IntentOp::Deploy {
-                tenant: TenantId(0),
-                slot: slot(0, 0),
-            },
-        );
-        assert_eq!(op, OpId(18));
-    }
-
-    #[test]
-    fn every_single_bit_flip_of_a_serialized_journal_is_rejected() {
-        let journal = seeded_journal(41, 3);
-        let bytes = journal.to_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match Journal::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify().is_ok(),
-            };
-            assert!(!survived, "bit flip {bit} went undetected");
-        }
-    }
-
-    #[test]
-    fn seeded_property_streams_verify_roundtrip_and_reject_random_flips() {
-        for seed in 0..20u64 {
-            let journal = seeded_journal(seed, 20);
-            journal
-                .verify()
-                .unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-            let bytes = journal.to_bytes();
-            assert_eq!(Journal::from_bytes(&bytes).unwrap(), journal);
-
-            let mut rng = SplitMix64::new(seed ^ 0x10A7);
-            let bit = rng.below((bytes.len() * 8) as u64) as usize;
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match Journal::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify().is_ok(),
-            };
-            assert!(!survived, "seed {seed}: bit flip {bit} went undetected");
-        }
+        assert_eq!(decoded.begin(Duration::from_secs(3600), deploy(0)), OpId(3));
     }
 }

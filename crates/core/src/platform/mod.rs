@@ -17,6 +17,9 @@
 //!   for quarantined and already-failed boards.
 //! * [`health`] — [`DeviceHealth`]: consecutive-failure tracking in
 //!   virtual time with seeded quarantine/probation cool-downs.
+//! * [`chain`] — [`HashChain`]: the append-only SHA-256 hash chain
+//!   under both control-plane logs, generic over the [`ChainEntry`] a
+//!   log records.
 //! * [`audit`] — [`AuditLog`]: the append-only hash chain every
 //!   control-plane event lands in, anchored by the chain head exported
 //!   in [`FleetSnapshot`].
@@ -30,6 +33,7 @@
 //!   (cross-board retry, outage suspension, fleet snapshots).
 
 pub mod audit;
+pub mod chain;
 pub mod control;
 pub mod fleet;
 pub mod health;
@@ -37,7 +41,8 @@ pub mod journal;
 pub mod scheduler;
 pub mod traits;
 
-pub use audit::{AuditEvent, AuditLog, AuditRecord, ChainFault};
+pub use audit::{AuditEvent, AuditLog, AuditRecord};
+pub use chain::{ChainEntry, ChainFault, ChainRecord, HashChain};
 pub use control::{
     ControlPlane, CrashRemains, DeployAttempt, DeployFailure, DeployPolicy, DeploySuspension,
     FleetSnapshot, PlatformConfig, RecoveryReport, TenantDeployment,
@@ -47,9 +52,7 @@ pub use fleet::{
     TenantRegistry,
 };
 pub use health::{DeviceHealth, DeviceHealthRecord, HealthPolicy, HealthState};
-pub use journal::{
-    AbortKind, IntentOp, Journal, JournalEntry, JournalFault, JournalRecord, OpId, OpenOp,
-};
+pub use journal::{AbortKind, IntentOp, Journal, JournalEntry, JournalRecord, OpId, OpenOp};
 pub use scheduler::{PlacePolicy, PlaceRequest, Scheduler};
 pub use traits::{
     distribute_device_key, AttestationVerifier, DeviceBroker, KeyService, SharedManufacturer,

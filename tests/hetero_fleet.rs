@@ -111,10 +111,10 @@ fn scheduler_refuses_cross_family_deploys_and_audits_them() {
 
     assert_eq!(plane.free_slots(), free_before, "no slot may leak");
     let log = plane.audit_log();
-    log.verify_chain().unwrap();
+    log.verify().unwrap();
     assert!(
         log.records().iter().any(|r| matches!(
-            &r.event,
+            &r.entry,
             AuditEvent::PlacementRefused { tenant, .. } if *tenant == mallory
         )),
         "the refusal must land in the audit chain"

@@ -103,7 +103,9 @@ proptest! {
         bit in 0u8..8,
     ) {
         use std::time::Duration;
-        use salus::core::platform::{AbortKind, DeployPath, IntentOp, Journal, SlotId, TenantId};
+        use salus::core::platform::{
+            AbortKind, DeployPath, HashChain, IntentOp, Journal, SlotId, TenantId,
+        };
 
         let mut journal = Journal::new();
         let mut state = seed;
@@ -130,7 +132,7 @@ proptest! {
 
         // The honest bytes roundtrip and verify.
         let wire = journal.to_bytes();
-        let decoded = Journal::from_bytes(&wire).unwrap();
+        let decoded = Journal::from(HashChain::from_bytes(&wire).unwrap());
         prop_assert!(decoded.verify().is_ok());
         prop_assert_eq!(decoded.head(), journal.head());
 
@@ -138,7 +140,7 @@ proptest! {
         let mut tampered = wire.clone();
         let pos = flip_seed % tampered.len();
         tampered[pos] ^= 1 << bit;
-        if let Ok(forged) = Journal::from_bytes(&tampered) {
+        if let Ok(forged) = HashChain::from_bytes(&tampered).map(Journal::from) {
             prop_assert!(
                 forged.verify().is_err(),
                 "flip at byte {} bit {} went undetected",
