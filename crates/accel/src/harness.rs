@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use salus_core::boot::secure_boot;
+use salus_core::boot::{secure_boot, BootPlan};
 use salus_core::instance::{TestBed, TestBedConfig};
 use salus_core::sm_logic::RegisterDevice;
 use salus_core::SalusError;
@@ -276,7 +276,7 @@ pub fn boot_with_ctl(
         ..TestBedConfig::quick()
     };
     let mut bed = TestBed::provision(config);
-    secure_boot(&mut bed)?;
+    secure_boot(&mut bed, BootPlan::single())?;
 
     let accelerator = ctl(&bed);
     bed.sm_logic

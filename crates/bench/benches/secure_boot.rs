@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use salus_core::boot::secure_boot;
+use salus_core::boot::{secure_boot, BootPlan};
 use salus_core::instance::{TestBed, TestBedConfig};
 
 fn bench_secure_boot(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_secure_boot(c: &mut Criterion) {
         b.iter_with_setup(
             || TestBed::provision(TestBedConfig::quick()),
             |mut bed| {
-                let outcome = secure_boot(&mut bed).unwrap();
+                let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
                 assert!(outcome.report.all_attested());
                 outcome
             },

@@ -43,13 +43,17 @@ fn main() {
 
     // Cold: Alice takes the board's first boot, manufacturer included.
     let alice = plane.register_tenant("alice");
-    let a = plane.deploy(alice, loopback_accelerator()).expect("cold");
+    let a = plane
+        .deploy(alice, loopback_accelerator(), DeployPolicy::single())
+        .expect("cold");
     assert_eq!(a.path, DeployPath::Cold);
     let cold_s = model_seconds(&a.outcome);
 
     // Warm-key: Bob reuses the fleet-cached device key.
     let bob = plane.register_tenant("bob");
-    let b = plane.deploy(bob, loopback_accelerator()).expect("warm");
+    let b = plane
+        .deploy(bob, loopback_accelerator(), DeployPolicy::single())
+        .expect("warm");
     assert_eq!(b.path, DeployPath::WarmKey);
     let warm_key_s = model_seconds(&b.outcome);
 
@@ -130,7 +134,7 @@ fn hetero_section() -> (Vec<serde_json::Value>, Vec<serde_json::Value>) {
             None => DeployPolicy::single(),
         };
         plane
-            .deploy_with(tenant, loopback_accelerator(), policy)
+            .deploy(tenant, loopback_accelerator(), policy)
             .expect("mixed deploy");
     }
 

@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use salus_core::boot::{BootOptions, BootPlan, RetryPolicy};
+use salus_core::boot::{BootPlan, RetryPolicy};
 use salus_core::dev::loopback_accelerator;
 use salus_core::platform::{
     ControlPlane, DeployFailure, DeployPolicy, HealthPolicy, HealthState, PlatformConfig,
@@ -39,9 +39,7 @@ fn sweep_policy() -> DeployPolicy {
         .with_plan(
             BootPlan::resilient()
                 .with_retry(retry)
-                .with_options(BootOptions {
-                    reuse_cached_device_key: true,
-                })
+                .with_reuse_cached_device_key(true)
                 .with_suspend_on_outage(false),
         )
         .with_placements(DEVICES as u32)
@@ -77,12 +75,12 @@ fn main() {
             for i in 0..TENANTS {
                 let tenant = plane.register_tenant(&format!("t{i}"));
                 deploys += 1;
-                match plane.deploy_with(tenant, loopback_accelerator(), policy.clone()) {
+                match plane.deploy(tenant, loopback_accelerator(), policy.clone()) {
                     Ok(d) => {
                         assert!(d.outcome.report.all_attested());
                         successes += 1;
                         placements += d.attempts;
-                        transient_retries += u64::from(d.trace.total_transient_failures());
+                        transient_retries += u64::from(d.outcome.trace.total_transient_failures());
                     }
                     Err(DeployFailure::Suspended(s)) => {
                         failed += 1;

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use salus_core::dev::loopback_accelerator;
 use salus_core::platform::{
-    ControlPlane, PlatformConfig, RecoveryReport, TenantDeployment, TenantId,
+    ControlPlane, DeployPolicy, PlatformConfig, RecoveryReport, TenantDeployment, TenantId,
 };
 use salus_core::SalusError;
 use salus_net::fault::CrashPlane;
@@ -76,12 +76,16 @@ impl Driver {
     }
 
     fn deploy(&mut self, tenant: TenantId) -> TenantDeployment {
-        match self.plane().deploy(tenant, loopback_accelerator()) {
+        let deployed = self
+            .plane()
+            .deploy(tenant, loopback_accelerator(), DeployPolicy::single())
+            .map_err(SalusError::from);
+        match deployed {
             Ok(d) => d,
             Err(SalusError::CrashInjected(_)) => {
                 self.recover();
                 self.plane()
-                    .deploy(tenant, loopback_accelerator())
+                    .deploy(tenant, loopback_accelerator(), DeployPolicy::single())
                     .expect("re-driven deploy")
             }
             Err(e) => panic!("unexpected deploy failure: {e:?}"),

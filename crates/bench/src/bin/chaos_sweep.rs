@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use salus_bench::fmt_ms;
-use salus_core::boot::{secure_boot_resilient, BootPlan, RetryPolicy};
+use salus_core::boot::{secure_boot, BootPlan, RetryPolicy};
 use salus_core::instance::{TestBed, TestBedConfig};
 use salus_net::fault::{FaultPlane, FaultSpec};
 
@@ -40,9 +40,9 @@ fn main() {
                 seed,
                 FaultSpec::default().with_drop_per_mille(rate),
             ));
-            match secure_boot_resilient(&mut bed, plan) {
+            match secure_boot(&mut bed, plan) {
                 Ok(boot) => {
-                    assert!(boot.outcome.report.all_attested());
+                    assert!(boot.report.all_attested());
                     completed += 1;
                     retries += boot.trace.total_transient_failures();
                     time_sum += boot.trace.total_elapsed();

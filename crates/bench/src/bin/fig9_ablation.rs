@@ -10,7 +10,7 @@
 //!    the reserved area; boot time is measured across partition sizes.
 
 use salus_bench::fmt_ms;
-use salus_core::boot::{secure_boot, secure_boot_with, BootOptions};
+use salus_core::boot::{secure_boot, BootPlan};
 use salus_core::instance::{TestBed, TestBedConfig};
 use salus_core::timing::CostModel;
 use salus_fpga::geometry::{DeviceGeometry, PartitionGeometry, Resources};
@@ -20,12 +20,13 @@ fn main() {
 
     // ── 1+2: cold vs warm vs tailored ─────────────────────────────────
     let mut bed = TestBed::paper_scale();
-    let cold = secure_boot(&mut bed).expect("cold boot").breakdown.total();
-    let warm = secure_boot_with(
+    let cold = secure_boot(&mut bed, BootPlan::single())
+        .expect("cold boot")
+        .breakdown
+        .total();
+    let warm = secure_boot(
         &mut bed,
-        BootOptions {
-            reuse_cached_device_key: true,
-        },
+        BootPlan::single().with_reuse_cached_device_key(true),
     )
     .expect("warm boot")
     .breakdown
@@ -39,7 +40,7 @@ fn main() {
         cost: tailored_cost,
         ..TestBedConfig::paper()
     });
-    let tailored = secure_boot(&mut tailored_bed)
+    let tailored = secure_boot(&mut tailored_bed, BootPlan::single())
         .expect("tailored boot")
         .breakdown
         .total();
@@ -91,7 +92,7 @@ fn main() {
             accelerator,
             ..TestBedConfig::paper()
         });
-        let outcome = secure_boot(&mut bed).expect("sweep boot");
+        let outcome = secure_boot(&mut bed, BootPlan::single()).expect("sweep boot");
         let total = outcome.breakdown.total();
         sweep_rows.push(vec![
             format!("1/{frac} SLR ({} bytes)", rp.config_bytes()),

@@ -6,14 +6,14 @@
 use std::time::Duration;
 
 use salus_bench::fmt_ms;
-use salus_core::boot::{secure_boot, BootPhase};
+use salus_core::boot::{secure_boot, BootPhase, BootPlan};
 use salus_core::instance::TestBed;
 
 fn main() {
     println!("Figure 9. Execution time of CL booting (paper-scale deployment)\n");
 
     let mut bed = TestBed::paper_scale();
-    let outcome = secure_boot(&mut bed).expect("honest boot succeeds");
+    let outcome = secure_boot(&mut bed, BootPlan::single()).expect("honest boot succeeds");
     assert!(outcome.report.all_attested());
     let b = &outcome.breakdown;
 

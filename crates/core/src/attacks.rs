@@ -8,7 +8,7 @@
 
 use salus_net::adversary::BitFlipper;
 
-use crate::boot::secure_boot;
+use crate::boot::{secure_boot, BootPlan};
 use crate::instance::{endpoints, TestBed, TestBedConfig};
 use crate::SalusError;
 
@@ -165,14 +165,14 @@ pub fn run_attack(attack: BootAttack) -> AttackOutcome {
         BootAttack::ShellReplaysOldBitstream => {
             // Boot once honestly to capture a stale-but-valid encrypted
             // bitstream, then force the shell to replay it on reboot.
-            secure_boot(&mut bed).expect("first boot is honest");
+            secure_boot(&mut bed, BootPlan::single()).expect("first boot is honest");
             let old = bed.shell.observed_bitstreams()[0].clone();
             bed.shell
                 .set_load_attack(salus_fpga::shell::LoadAttack::Replace(old));
         }
         BootAttack::ShellReadback => {
             // The attack happens after an honest boot.
-            secure_boot(&mut bed).expect("boot is honest");
+            secure_boot(&mut bed, BootPlan::single()).expect("boot is honest");
             let result = bed.shell.snoop_configuration(bed.partition);
             return AttackOutcome {
                 attack,
@@ -240,7 +240,7 @@ pub fn run_attack(attack: BootAttack) -> AttackOutcome {
         }
     }
 
-    let result = secure_boot(&mut bed);
+    let result = secure_boot(&mut bed, BootPlan::single()).map_err(SalusError::from);
     match attack {
         BootAttack::None => AttackOutcome {
             attack,

@@ -66,8 +66,8 @@ pub enum SalusError {
 
 /// Why capability-aware placement refused a deployment.
 ///
-/// Typed (rather than the legacy `Scheduler(&str)` prose) so chaos
-/// suites and callers assert on variants, not string contents.
+/// Typed so chaos suites and callers assert on variants, not string
+/// contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PlaceError {

@@ -45,10 +45,10 @@
 //!
 //! ```
 //! use salus_core::instance::TestBed;
-//! use salus_core::boot::secure_boot;
+//! use salus_core::boot::{secure_boot, BootPlan};
 //!
 //! let mut bed = TestBed::quick_demo();
-//! let outcome = secure_boot(&mut bed).expect("boot succeeds");
+//! let outcome = secure_boot(&mut bed, BootPlan::single()).expect("boot succeeds");
 //! assert!(outcome.report.all_attested());
 //! ```
 

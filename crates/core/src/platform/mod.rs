@@ -29,7 +29,7 @@
 //! * [`control`] — [`ControlPlane`]: registration, scheduled deploys,
 //!   eviction, warm redeploys that skip the manufacturer round trip by
 //!   reusing cached device keys and parked pre-encrypted bitstreams,
-//!   and fault-tolerant [`deploy_with`](ControlPlane::deploy_with)
+//!   and fault-tolerant [`deploy`](ControlPlane::deploy)
 //!   (cross-board retry, outage suspension, fleet snapshots).
 
 pub mod audit;

@@ -272,13 +272,13 @@ pub fn monitor(bed: &mut TestBed, rounds: usize) -> Result<usize, SalusError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boot::secure_boot;
+    use crate::boot::{secure_boot, BootPlan};
     use crate::instance::TestBedConfig;
     use salus_fpga::shell::LoadAttack;
 
     fn booted_bed() -> TestBed {
         let mut bed = TestBed::provision(TestBedConfig::quick());
-        secure_boot(&mut bed).unwrap();
+        secure_boot(&mut bed, BootPlan::single()).unwrap();
         bed
     }
 
@@ -305,7 +305,7 @@ mod tests {
         // has advanced: re-run the deployment path to inject fresh keys
         // first, making the replay stale.
         let old = bed.shell.observed_bitstreams()[0].clone();
-        secure_boot(&mut bed).unwrap(); // fresh session, fresh keys
+        secure_boot(&mut bed, BootPlan::single()).unwrap(); // fresh session, fresh keys
         assert_eq!(heartbeat(&mut bed).unwrap(), Heartbeat::Alive);
 
         // Runtime replacement: shell silently reloads the old stream.

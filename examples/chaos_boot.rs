@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use salus::core::boot::{secure_boot_resilient, BootFailure, BootPlan, RetryPolicy};
+use salus::core::boot::{secure_boot, BootFailure, BootPlan, RetryPolicy};
 use salus::core::instance::{endpoints, TestBed, TestBedConfig};
 use salus::net::fault::{FaultPlane, FaultSpec};
 
@@ -65,11 +65,11 @@ fn main() {
         let mut bed = TestBed::provision(TestBedConfig::quick());
         bed.fabric.install_fault_plane(FaultPlane::new(42, spec));
 
-        match secure_boot_resilient(&mut bed, plan) {
+        match secure_boot(&mut bed, plan) {
             Ok(boot) => {
                 println!(
                     "   COMPLETED  all attested: {}   virtual boot time: {}",
-                    boot.outcome.report.all_attested(),
+                    boot.report.all_attested(),
                     fmt_ms(boot.trace.total_elapsed()),
                 );
                 for s in boot.trace.steps() {
@@ -108,7 +108,7 @@ fn main() {
                             .unwrap_or_else(|f| panic!("resume failed: {}", f.classification()));
                         println!(
                             "     RESUMED → completed, all attested: {}  total virtual time: {}",
-                            boot.outcome.report.all_attested(),
+                            boot.report.all_attested(),
                             fmt_ms(boot.trace.total_elapsed()),
                         );
                     }

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use salus::core::boot::{BootOptions, BootPlan, RetryPolicy};
+use salus::core::boot::{BootPlan, RetryPolicy};
 use salus::core::dev::loopback_accelerator;
 use salus::core::platform::{
     ControlPlane, DeployFailure, DeployPolicy, HealthPolicy, PlatformConfig,
@@ -60,9 +60,7 @@ fn main() {
                     jitter_per_mille: 250,
                     deadline: Some(Duration::from_millis(500)),
                 })
-                .with_options(BootOptions {
-                    reuse_cached_device_key: true,
-                })
+                .with_reuse_cached_device_key(true)
                 .with_suspend_on_outage(false),
         )
         .with_placements(2);
@@ -70,7 +68,7 @@ fn main() {
     let mut live = Vec::new();
     for name in ["alice", "bob", "carol", "dave"] {
         let tenant = plane.register_tenant(name);
-        match plane.deploy_with(tenant, loopback_accelerator(), policy.clone()) {
+        match plane.deploy(tenant, loopback_accelerator(), policy.clone()) {
             Ok(d) => {
                 println!(
                     "{name:<6} -> dev{}.rp{} ({:?}, {} placement{}, {} step retries, attested: {})",
@@ -79,7 +77,7 @@ fn main() {
                     d.path,
                     d.attempts,
                     if d.attempts == 1 { "" } else { "s" },
-                    d.trace.total_transient_failures(),
+                    d.outcome.trace.total_transient_failures(),
                     d.outcome.report.all_attested(),
                 );
                 live.push(d);
@@ -136,7 +134,7 @@ fn main() {
     println!("\nfaults cleared, cool-down elapsed — retrying the rejected tenants:");
     for t in snap.tenants.iter().filter(|t| t.total_deploys() == 0) {
         let d = plane
-            .deploy_with(t.id, loopback_accelerator(), policy.clone())
+            .deploy(t.id, loopback_accelerator(), policy.clone())
             .expect("recovered fleet deploys");
         println!(
             "{:<6} -> dev{}.rp{} ({:?}, attested: {})",

@@ -13,7 +13,7 @@
 //! ```
 
 use salus::bitstream::netlist::Module;
-use salus::core::platform::{ControlPlane, DeployPath, PlatformConfig};
+use salus::core::platform::{ControlPlane, DeployPath, DeployPolicy, PlatformConfig};
 
 fn main() {
     println!("=== Multi-tenant reconfigurable partitions (§4.7) ===\n");
@@ -32,7 +32,7 @@ fn main() {
             )
             .with_resources(5_000, 8_000, 4);
             let deployment = plane
-                .deploy(tenant, module)
+                .deploy(tenant, module, DeployPolicy::single())
                 .expect("co-resident deployment succeeds");
             assert!(deployment.outcome.report.all_attested());
             paths.push(deployment.path);

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use salus::core::boot::secure_boot;
+use salus::core::boot::{secure_boot, BootPlan};
 use salus::core::instance::TestBed;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     // device-key distribution, RoT injection by bitstream manipulation,
     // encrypted deployment, CL attestation, cascaded report, data-key
     // release.
-    let outcome = secure_boot(&mut bed).expect("honest boot succeeds");
+    let outcome = secure_boot(&mut bed, BootPlan::single()).expect("honest boot succeeds");
     println!("\nsecure boot completed:");
     println!("  user enclave attested: {}", outcome.report.user_attested);
     println!("  SM enclave attested:   {}", outcome.report.sm_attested);

@@ -9,7 +9,7 @@
 //! cargo run --example runtime_monitor
 //! ```
 
-use salus::core::boot::secure_boot;
+use salus::core::boot::{secure_boot, BootPlan};
 use salus::core::instance::TestBed;
 use salus::core::runtime_attest::{heartbeat, Heartbeat};
 use salus::fpga::shell::LoadAttack;
@@ -18,11 +18,11 @@ fn main() {
     println!("=== Runtime attestation monitor ===\n");
 
     let mut bed = TestBed::quick_demo();
-    secure_boot(&mut bed).expect("first boot");
+    secure_boot(&mut bed, BootPlan::single()).expect("first boot");
     let stale_stream = bed.shell.observed_bitstreams()[0].clone();
 
     // Re-deploy with fresh keys so the captured stream becomes stale.
-    secure_boot(&mut bed).expect("second boot");
+    secure_boot(&mut bed, BootPlan::single()).expect("second boot");
 
     for round in 1..=5 {
         let beat = heartbeat(&mut bed).expect("booted");

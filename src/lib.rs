@@ -30,11 +30,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use salus::core::boot::secure_boot;
+//! use salus::core::boot::{secure_boot, BootPlan};
 //! use salus::core::instance::TestBed;
 //!
 //! let mut bed = TestBed::quick_demo();
-//! let outcome = secure_boot(&mut bed).expect("honest boot succeeds");
+//! let outcome = secure_boot(&mut bed, BootPlan::single()).expect("honest boot succeeds");
 //! assert!(outcome.report.all_attested());
 //! ```
 

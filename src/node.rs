@@ -27,7 +27,8 @@ use salus_accel::integrity;
 use salus_accel::workload::Workload;
 use salus_core::boot::{BootBreakdown, BootOutcome, BootTrace, CascadeReport};
 use salus_core::platform::{
-    ControlPlane, FleetSnapshot, PlatformConfig, SlotId, TenantDeployment, TenantId, TenantRecord,
+    ControlPlane, DeployPolicy, FleetSnapshot, PlatformConfig, SlotId, TenantDeployment, TenantId,
+    TenantRecord,
 };
 use salus_core::{PlaceError, SalusError};
 use salus_fpga::family::FamilyId;
@@ -192,7 +193,11 @@ impl SalusNode {
         workload: &dyn Workload,
         protection: MemoryProtection,
     ) -> Result<SecureSession, SalusError> {
-        let deployment = self.plane.deploy(tenant, workload.accelerator_module())?;
+        let deployment = self.plane.deploy(
+            tenant,
+            workload.accelerator_module(),
+            DeployPolicy::single(),
+        )?;
         Self::attach(deployment, workload, protection)
     }
 
@@ -220,10 +225,10 @@ impl SalusNode {
             outcome: BootOutcome {
                 breakdown: BootBreakdown::default(),
                 report,
+                trace: BootTrace::default(),
             },
             path: tenancy.path,
             attempts: 1,
-            trace: BootTrace::default(),
         })
     }
 
@@ -248,7 +253,8 @@ impl SalusNode {
     /// Brings an evicted tenant back. Prefers the warm-image fast path
     /// (reload the parked ciphertext on its bound slot, re-attest the
     /// CL — no manufacturer round trip); if that slot was taken
-    /// meanwhile, falls back to a full scheduled deploy elsewhere.
+    /// meanwhile or its board is quarantined, falls back to a full
+    /// scheduled deploy elsewhere (the ciphertext stays parked).
     ///
     /// # Errors
     ///
@@ -276,12 +282,10 @@ impl SalusNode {
     ) -> Result<SecureSession, SalusError> {
         match self.plane.redeploy(tenant) {
             Ok(deployment) => Self::attach(deployment, workload, protection),
-            Err(SalusError::Place(PlaceError::AffinityOccupied)) => {
-                self.deploy_protected(tenant, workload, protection)
-            }
-            Err(SalusError::Scheduler("no parked deployment")) => {
-                self.deploy_protected(tenant, workload, protection)
-            }
+            Err(
+                SalusError::Place(PlaceError::AffinityOccupied | PlaceError::AffinityAvoided)
+                | SalusError::Scheduler("no parked deployment"),
+            ) => self.deploy_protected(tenant, workload, protection),
             Err(e) => Err(e),
         }
     }
@@ -363,6 +367,60 @@ mod tests {
         assert_eq!(tenancy.slot, slot);
         let output = session.run(&workload).unwrap();
         assert_eq!(output, workload.compute(workload.input()));
+    }
+
+    #[test]
+    fn quarantined_affinity_board_falls_back_to_a_fresh_deploy() {
+        use salus_core::dev::loopback_accelerator;
+        use salus_core::platform::{HealthPolicy, HealthState};
+        use salus_net::fault::{FaultPlan, FaultSpec};
+        use std::time::Duration;
+
+        let node = SalusNode::provision(
+            PlatformConfig::quick(2, 1)
+                .with_geometry(node_geometry(1))
+                .with_health(HealthPolicy::default().with_quarantine_after(2)),
+        )
+        .unwrap();
+        let alice = node.register_tenant("alice");
+        let workload = Affine::paper_scale();
+        let session = node.deploy(alice, &workload).unwrap();
+        let device = session.tenancy().unwrap().slot.device;
+        node.evict(session).unwrap();
+
+        // Quarantine alice's bound board: two single-placement deploys
+        // fail on it (the least-loaded tie-break picks it while both
+        // boards are free).
+        node.plane().install_fault_plan(&FaultPlan::new(
+            5,
+            FaultSpec::default().with_outage(
+                format!("fleet.dev{device}.fpga"),
+                Duration::ZERO,
+                Duration::from_secs(3_600),
+            ),
+        ));
+        for name in ["carol", "dave"] {
+            let t = node.register_tenant(name);
+            node.plane()
+                .deploy(t, loopback_accelerator(), DeployPolicy::single())
+                .expect_err("dark board fails the deploy");
+        }
+        assert_eq!(
+            node.fleet_snapshot().health[device].state,
+            HealthState::Quarantined
+        );
+
+        // The warm-image path is refused on the quarantined board; the
+        // node falls back to a fresh deploy elsewhere and the parked
+        // ciphertext stays parked.
+        let mut session = node.redeploy(alice, &workload).unwrap();
+        let tenancy = session.tenancy().unwrap();
+        assert_ne!(tenancy.slot.device, device);
+        assert_eq!(tenancy.path, DeployPath::Cold);
+        assert!(node.plane().has_parked(alice));
+        let output = session.run(&workload).unwrap();
+        assert_eq!(output, workload.compute(workload.input()));
+        node.plane().clear_fault_plan();
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl Default for ServeCostModel {
 /// How the executor lays requests onto the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// The legacy contract: one request at a time, globally — each
+    /// The serial contract: one request at a time, globally — each
     /// pays its own DMA setups and key exchange, and no two phases
     /// ever overlap. This is the measured baseline, not a fast path.
     Serial,

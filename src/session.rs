@@ -20,7 +20,7 @@
 use salus_accel::harness;
 use salus_accel::integrity;
 use salus_accel::workload::Workload;
-use salus_core::boot::{secure_boot_with, BootBreakdown, BootOptions, BootOutcome, CascadeReport};
+use salus_core::boot::{secure_boot, BootBreakdown, BootOutcome, BootPlan, CascadeReport};
 use salus_core::instance::TestBed;
 use salus_core::platform::{DeployPath, DramWindow, SlotId, TenantId};
 use salus_core::runtime_attest::{heartbeat, Heartbeat};
@@ -81,7 +81,7 @@ impl SecureSession {
     ///
     /// Any detected attack or protocol failure during boot.
     pub fn deploy(workload: &dyn Workload) -> Result<SecureSession, SalusError> {
-        Self::deploy_with(workload, MemoryProtection::Confidentiality)
+        Self::deploy_protected(workload, MemoryProtection::Confidentiality)
     }
 
     /// [`deploy`](SecureSession::deploy) with an explicit memory-
@@ -90,7 +90,7 @@ impl SecureSession {
     /// # Errors
     ///
     /// Any detected attack or protocol failure during boot.
-    pub fn deploy_with(
+    pub fn deploy_protected(
         workload: &dyn Workload,
         protection: MemoryProtection,
     ) -> Result<SecureSession, SalusError> {
@@ -238,11 +238,9 @@ impl SecureSession {
     ///
     /// Any detected attack or protocol failure during the re-boot.
     pub fn redeploy(&mut self, workload: &dyn Workload) -> Result<(), SalusError> {
-        let outcome = secure_boot_with(
+        let outcome = secure_boot(
             &mut self.bed,
-            BootOptions {
-                reuse_cached_device_key: true,
-            },
+            BootPlan::single().with_reuse_cached_device_key(true),
         )?;
         self.report = outcome.report;
         self.last_breakdown = outcome.breakdown;
@@ -293,9 +291,11 @@ mod tests {
     #[test]
     fn integrity_mode_detects_dram_tampering() {
         let workload = Affine::paper_scale();
-        let mut session =
-            SecureSession::deploy_with(&workload, MemoryProtection::ConfidentialityAndIntegrity)
-                .unwrap();
+        let mut session = SecureSession::deploy_protected(
+            &workload,
+            MemoryProtection::ConfidentialityAndIntegrity,
+        )
+        .unwrap();
         // Honest run works.
         let output = session.run(&workload).unwrap();
         assert_eq!(output, workload.compute(workload.input()));

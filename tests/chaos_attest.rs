@@ -452,7 +452,7 @@ fn rpc_backed_boots_survive_seeded_packet_loss() {
 
     let tenant = plane.register_tenant("rpc-tenant");
     let deployment = plane
-        .deploy_with(tenant, loopback_accelerator(), policy)
+        .deploy(tenant, loopback_accelerator(), policy)
         .expect("resilient boot rides out the losses");
     assert!(
         deployment.bed.rpc_key_client.is_some(),

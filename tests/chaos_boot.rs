@@ -13,8 +13,7 @@
 use std::time::Duration;
 
 use salus::core::boot::{
-    secure_boot, secure_boot_resilient, BootFailure, BootPhase, BootPlan, BootStep, CascadeReport,
-    RetryPolicy,
+    secure_boot, BootFailure, BootPhase, BootPlan, BootStep, CascadeReport, RetryPolicy,
 };
 use salus::core::instance::{endpoints, TestBed, TestBedConfig};
 use salus::core::SalusError;
@@ -36,7 +35,7 @@ fn sweep_policy() -> RetryPolicy {
 
 fn fault_free_report() -> CascadeReport {
     let mut bed = TestBed::provision(TestBedConfig::quick());
-    secure_boot(&mut bed).unwrap().report
+    secure_boot(&mut bed, BootPlan::single()).unwrap().report
 }
 
 /// One boot under a fault schedule, reduced to a comparable fingerprint.
@@ -44,12 +43,11 @@ fn run_schedule(fault_seed: u64, spec: FaultSpec, plan: BootPlan) -> String {
     let mut bed = TestBed::provision(TestBedConfig::quick());
     bed.fabric
         .install_fault_plane(FaultPlane::new(fault_seed, spec));
-    match secure_boot_resilient(&mut bed, plan) {
+    match secure_boot(&mut bed, plan) {
         Ok(boot) => format!(
             "ok report={:?} phases={:?} trace={:?}",
-            boot.outcome.report,
-            boot.outcome
-                .breakdown
+            boot.report,
+            boot.breakdown
                 .phases()
                 .iter()
                 .map(|(p, d)| (*p, d.as_nanos()))
@@ -87,14 +85,14 @@ fn run_schedule(fault_seed: u64, spec: FaultSpec, plan: BootPlan) -> String {
 #[test]
 fn inert_fault_plane_reproduces_fault_free_figure9_exactly() {
     let mut plain = TestBed::provision(TestBedConfig::quick());
-    let reference = secure_boot(&mut plain).unwrap();
+    let reference = secure_boot(&mut plain, BootPlan::single()).unwrap();
 
     let mut bed = TestBed::provision(TestBedConfig::quick());
     bed.fabric.install_fault_plane(FaultPlane::inert());
-    let boot = secure_boot_resilient(&mut bed, BootPlan::resilient()).unwrap();
+    let boot = secure_boot(&mut bed, BootPlan::resilient()).unwrap();
 
-    assert_eq!(boot.outcome.breakdown, reference.breakdown);
-    assert_eq!(boot.outcome.report, reference.report);
+    assert_eq!(boot.breakdown, reference.breakdown);
+    assert_eq!(boot.report, reference.report);
     assert_eq!(boot.trace.total_transient_failures(), 0);
 }
 
@@ -142,10 +140,10 @@ fn moderate_drop_rate_still_boots_with_retries() {
             fault_seed,
             FaultSpec::default().with_drop_per_mille(80),
         ));
-        if let Ok(boot) = secure_boot_resilient(&mut bed, plan) {
+        if let Ok(boot) = secure_boot(&mut bed, plan) {
             booted += 1;
-            assert_eq!(boot.outcome.report, reference);
-            assert!(boot.outcome.report.all_attested());
+            assert_eq!(boot.report, reference);
+            assert!(boot.report.all_attested());
             retried += boot.trace.total_transient_failures();
         }
     }
@@ -169,10 +167,7 @@ fn virtual_boot_time_degrades_predictably_with_outage_length() {
 
     // Baseline: fault-free total virtual boot time on the quick bed.
     let mut plain = TestBed::provision(TestBedConfig::quick());
-    let base_total = secure_boot_resilient(&mut plain, plan)
-        .unwrap()
-        .trace
-        .total_elapsed();
+    let base_total = secure_boot(&mut plain, plan).unwrap().trace.total_elapsed();
 
     // Manufacturer outages strictly longer than the whole fault-free
     // boot, so the key-distribution round always has to wait them out.
@@ -185,9 +180,9 @@ fn virtual_boot_time_degrades_predictably_with_outage_length() {
             9,
             FaultSpec::default().with_outage(endpoints::MANUFACTURER, Duration::ZERO, outage),
         ));
-        let boot = secure_boot_resilient(&mut bed, plan)
+        let boot = secure_boot(&mut bed, plan)
             .unwrap_or_else(|f| panic!("outage {outage:?}: {}", f.classification()));
-        assert!(boot.outcome.report.all_attested());
+        assert!(boot.report.all_attested());
         totals.push(boot.trace.total_elapsed());
         failures.push(boot.trace.total_transient_failures());
     }
@@ -239,7 +234,7 @@ fn mac_tamper_mid_retry_loop_is_immediately_fatal() {
         .channel(endpoints::FPGA, endpoints::HOST)
         .interpose(BitFlipper::new(0, 20));
 
-    let failure = secure_boot_resilient(&mut bed, plan).unwrap_err();
+    let failure = secure_boot(&mut bed, plan).unwrap_err();
     let BootFailure::Fatal(fatal) = failure else {
         panic!("expected fatal failure, got suspension");
     };
@@ -294,7 +289,7 @@ fn manufacturer_outage_suspends_then_resumes_to_full_attestation() {
         ),
     ));
 
-    let failure = secure_boot_resilient(&mut bed, plan).unwrap_err();
+    let failure = secure_boot(&mut bed, plan).unwrap_err();
     assert_eq!(failure.classification(), "suspended");
     let BootFailure::Suspended(suspension) = failure else {
         panic!("expected suspension");
@@ -320,8 +315,8 @@ fn manufacturer_outage_suspends_then_resumes_to_full_attestation() {
     // The manufacturer comes back: resume from the parked step.
     bed.fabric.clear_fault_plane();
     let boot = suspension.resume(&mut bed).unwrap();
-    assert_eq!(boot.outcome.report, reference);
-    assert!(boot.outcome.report.all_attested());
+    assert_eq!(boot.report, reference);
+    assert!(boot.report.all_attested());
     // The parked step's accounting carried over and gained the success.
     let after = boot.trace.step(parked).unwrap();
     assert_eq!(after.transient_failures, policy.max_attempts);

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use salus::core::boot::{BootOptions, BootPlan, RetryPolicy};
+use salus::core::boot::{BootPlan, RetryPolicy};
 use salus::core::dev::loopback_accelerator;
 use salus::core::platform::{
     ControlPlane, DeployFailure, DeployPath, DeployPolicy, HealthPolicy, HealthState,
@@ -45,9 +45,7 @@ fn sweep_policy() -> RetryPolicy {
 fn sweep_plan() -> BootPlan {
     BootPlan::resilient()
         .with_retry(sweep_policy())
-        .with_options(BootOptions {
-            reuse_cached_device_key: true,
-        })
+        .with_reuse_cached_device_key(true)
         .with_suspend_on_outage(false)
 }
 
@@ -83,7 +81,7 @@ fn run_fleet_schedule(fault_seed: u64, drop_per_mille: u32, tenants: usize) -> S
     let mut live = Vec::new();
     for i in 0..tenants {
         let tenant = plane.register_tenant(&format!("t{i}"));
-        match plane.deploy_with(tenant, loopback_accelerator(), policy.clone()) {
+        match plane.deploy(tenant, loopback_accelerator(), policy.clone()) {
             Ok(d) => {
                 out.push_str(&format!(
                     "t{i} ok slot={:?} path={:?} attempts={} total={:?}\n",
@@ -271,7 +269,7 @@ fn chaos_sweep_never_shares_a_window_between_live_leases() {
                         plane.redeploy(tenant).ok()
                     } else {
                         plane
-                            .deploy_with(tenant, loopback_accelerator(), policy.clone())
+                            .deploy(tenant, loopback_accelerator(), policy.clone())
                             .ok()
                     };
                     if let Some(d) = deployed {
@@ -320,7 +318,7 @@ fn transient_boot_failure_fails_over_to_a_different_board() {
     ));
 
     let d = plane
-        .deploy_with(
+        .deploy(
             tenant,
             loopback_accelerator(),
             DeployPolicy::resilient().with_plan(sweep_plan()),
@@ -361,14 +359,14 @@ fn persistent_failures_quarantine_a_board_until_probation_readmits_it() {
     // Alice fails on board 0 (first health strike) and fails over to
     // board 1, filling it.
     let a = plane
-        .deploy_with(alice, loopback_accelerator(), policy())
+        .deploy(alice, loopback_accelerator(), policy())
         .expect("alice fails over");
     assert_eq!(a.slot.device, 1);
 
     // Bob only has board 0 left; with the fleet full elsewhere his
     // deploy fails — second strike, board 0 is quarantined.
     let failure = plane
-        .deploy_with(bob, loopback_accelerator(), policy())
+        .deploy(bob, loopback_accelerator(), policy())
         .expect_err("bob cannot boot on the dark board");
     assert!(matches!(failure, DeployFailure::Failed { .. }));
     let snap = plane.snapshot();
@@ -379,7 +377,7 @@ fn persistent_failures_quarantine_a_board_until_probation_readmits_it() {
     // While quarantined the board is invisible to the scheduler: carol
     // is rejected outright, with no boot attempt charged anywhere.
     let failure = plane
-        .deploy_with(carol, loopback_accelerator(), policy())
+        .deploy(carol, loopback_accelerator(), policy())
         .expect_err("no admissible board for carol");
     match failure {
         DeployFailure::Rejected(e) => {
@@ -396,7 +394,7 @@ fn persistent_failures_quarantine_a_board_until_probation_readmits_it() {
     assert_eq!(plane.snapshot().health[0].state, HealthState::Probation);
     plane.clear_fault_plan();
     let c = plane
-        .deploy_with(carol, loopback_accelerator(), policy())
+        .deploy(carol, loopback_accelerator(), policy())
         .expect("probational board serves carol");
     assert_eq!(c.slot.device, 0);
     assert_eq!(plane.snapshot().health[0].state, HealthState::Healthy);
@@ -417,7 +415,7 @@ fn manufacturer_outage_suspends_the_deploy_and_resume_keeps_the_slot() {
         .with_plan(sweep_plan().with_suspend_on_outage(true))
         .with_placements(1);
     let failure = plane
-        .deploy_with(tenant, loopback_accelerator(), policy)
+        .deploy(tenant, loopback_accelerator(), policy)
         .expect_err("outage must suspend the deploy");
     let suspension = match failure {
         DeployFailure::Suspended(s) => *s,
@@ -454,7 +452,7 @@ fn abandoning_a_suspended_deploy_frees_the_slot() {
     ));
     let policy = DeployPolicy::resilient().with_plan(sweep_plan().with_suspend_on_outage(true));
     let failure = plane
-        .deploy_with(tenant, loopback_accelerator(), policy)
+        .deploy(tenant, loopback_accelerator(), policy)
         .expect_err("outage must suspend");
     let DeployFailure::Suspended(suspension) = failure else {
         panic!("expected suspension");
@@ -468,7 +466,9 @@ fn abandoning_a_suspended_deploy_frees_the_slot() {
 
     // The slot is immediately reusable.
     plane.clear_fault_plan();
-    let d = plane.deploy(tenant, loopback_accelerator()).unwrap();
+    let d = plane
+        .deploy(tenant, loopback_accelerator(), DeployPolicy::single())
+        .unwrap();
     assert!(d.outcome.report.all_attested());
 }
 
@@ -476,7 +476,9 @@ fn abandoning_a_suspended_deploy_frees_the_slot() {
 fn transient_warm_image_failure_reparks_the_ciphertext() {
     let plane = chaos_plane(1, 1);
     let tenant = plane.register_tenant("alice");
-    let d = plane.deploy(tenant, loopback_accelerator()).unwrap();
+    let d = plane
+        .deploy(tenant, loopback_accelerator(), DeployPolicy::single())
+        .unwrap();
     let slot = d.slot;
     plane.evict(d).unwrap();
     assert!(plane.has_parked(tenant));
@@ -521,7 +523,9 @@ fn quarantined_affinity_board_keeps_the_deployment_parked() {
     let plane = chaos_plane(2, 1);
     let alice = plane.register_tenant("alice");
 
-    let a = plane.deploy(alice, loopback_accelerator()).unwrap();
+    let a = plane
+        .deploy(alice, loopback_accelerator(), DeployPolicy::single())
+        .unwrap();
     let device = a.slot.device;
     plane.evict(a).unwrap();
 
@@ -544,7 +548,7 @@ fn quarantined_affinity_board_keeps_the_deployment_parked() {
     for name in ["carol", "dave"] {
         let t = plane.register_tenant(name);
         let f = plane
-            .deploy_with(t, loopback_accelerator(), policy())
+            .deploy(t, loopback_accelerator(), policy())
             .expect_err("dark board fails the deploy");
         assert_eq!(f.classification(), "failed");
     }

@@ -1,14 +1,14 @@
 //! Integration: the whole simulation is deterministic — a requirement
 //! for the reproducibility claims in EXPERIMENTS.md.
 
-use salus::core::boot::{secure_boot, BootPhase};
+use salus::core::boot::{secure_boot, BootPhase, BootPlan};
 use salus::core::instance::{TestBed, TestBedConfig};
 
 #[test]
 fn identical_seeds_produce_identical_boots() {
     let run = || {
         let mut bed = TestBed::provision(TestBedConfig::quick().with_seed(7));
-        let outcome = secure_boot(&mut bed).unwrap();
+        let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
         (
             bed.shell.observed_bitstreams(),
             outcome.breakdown.total(),
@@ -26,7 +26,7 @@ fn identical_seeds_produce_identical_boots() {
 fn paper_breakdown_is_bitwise_reproducible() {
     let run = || {
         let mut bed = TestBed::paper_scale();
-        let outcome = secure_boot(&mut bed).unwrap();
+        let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
         outcome
             .breakdown
             .phases()
@@ -41,7 +41,7 @@ fn paper_breakdown_is_bitwise_reproducible() {
 fn different_seeds_change_secrets_not_structure() {
     let phases = |seed: u64| {
         let mut bed = TestBed::provision(TestBedConfig::quick().with_seed(seed));
-        let outcome = secure_boot(&mut bed).unwrap();
+        let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
         (
             outcome
                 .breakdown

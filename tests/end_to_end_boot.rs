@@ -2,13 +2,13 @@
 
 use std::time::Duration;
 
-use salus::core::boot::{secure_boot, BootPhase};
+use salus::core::boot::{secure_boot, BootPhase, BootPlan};
 use salus::core::instance::{TestBed, TestBedConfig};
 
 #[test]
 fn quick_boot_attests_all_components() {
     let mut bed = TestBed::quick_demo();
-    let outcome = secure_boot(&mut bed).unwrap();
+    let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
     assert!(outcome.report.user_attested);
     assert!(outcome.report.sm_attested);
     assert!(outcome.report.cl_attested);
@@ -19,7 +19,7 @@ fn quick_boot_attests_all_components() {
 #[test]
 fn paper_scale_boot_reproduces_fig9_shape() {
     let mut bed = TestBed::paper_scale();
-    let outcome = secure_boot(&mut bed).unwrap();
+    let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
     let b = &outcome.breakdown;
     let total = b.total();
 
@@ -67,7 +67,7 @@ fn distinct_seeds_produce_distinct_secrets_but_same_digest() {
 fn sequential_reboots_work_and_refresh_keys() {
     let mut bed = TestBed::quick_demo();
     for round in 0..3 {
-        let outcome = secure_boot(&mut bed).unwrap();
+        let outcome = secure_boot(&mut bed, BootPlan::single()).unwrap();
         assert!(outcome.report.all_attested(), "round {round}");
     }
     // Three deployments → three observed (distinct) encrypted streams.
@@ -80,7 +80,7 @@ fn sequential_reboots_work_and_refresh_keys() {
 #[test]
 fn register_channel_survives_many_transactions() {
     let mut bed = TestBed::quick_demo();
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
     for i in 0..200u64 {
         bed.secure_reg_write(1, i).unwrap();
         assert_eq!(bed.secure_reg_read(1).unwrap(), i);
@@ -94,10 +94,10 @@ fn boot_time_scales_with_partition_size() {
         cost: salus::core::timing::CostModel::paper_calibrated(),
         ..TestBedConfig::quick()
     });
-    let small_outcome = secure_boot(&mut small).unwrap();
+    let small_outcome = secure_boot(&mut small, BootPlan::single()).unwrap();
 
     let mut large = TestBed::paper_scale();
-    let large_outcome = secure_boot(&mut large).unwrap();
+    let large_outcome = secure_boot(&mut large, BootPlan::single()).unwrap();
 
     let small_manip = small_outcome
         .breakdown

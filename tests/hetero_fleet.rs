@@ -63,7 +63,7 @@ fn mixed_fleet_deploys_eight_tenants_deterministically() {
                 None => DeployPolicy::single(),
             };
             let deployment = plane
-                .deploy_with(tenant, loopback_accelerator(), policy)
+                .deploy(tenant, loopback_accelerator(), policy)
                 .unwrap_or_else(|e| panic!("tenant {i} must deploy: {e:?}"));
             assert!(deployment.outcome.report.all_attested(), "tenant {i}");
 
@@ -100,7 +100,7 @@ fn scheduler_refuses_cross_family_deploys_and_audits_them() {
 
     let mallory = plane.register_tenant("mallory");
     let err = plane
-        .deploy_with(mallory, loopback_accelerator(), pin(FamilyId::Versal))
+        .deploy(mallory, loopback_accelerator(), pin(FamilyId::Versal))
         .unwrap_err();
     match err {
         DeployFailure::Rejected(e) => {
@@ -176,7 +176,7 @@ fn warm_image_redeploy_is_family_bound() {
     let bob = plane.register_tenant("bob");
 
     let deployment = plane
-        .deploy_with(alice, loopback_accelerator(), pin(FamilyId::UltraScale))
+        .deploy(alice, loopback_accelerator(), pin(FamilyId::UltraScale))
         .unwrap();
     let home = deployment.slot;
     assert_eq!(plane.device_family(home.device), Some(FamilyId::UltraScale));
@@ -185,7 +185,7 @@ fn warm_image_redeploy_is_family_bound() {
 
     // Bob steals the only UltraScale slot.
     let stolen = plane
-        .deploy_with(bob, loopback_accelerator(), pin(FamilyId::UltraScale))
+        .deploy(bob, loopback_accelerator(), pin(FamilyId::UltraScale))
         .unwrap();
     assert_eq!(stolen.slot, home);
 

@@ -1,7 +1,7 @@
 //! Integration: cross-crate security invariants of the whole system.
 
 use salus::core::attacks::{run_attack, BootAttack};
-use salus::core::boot::secure_boot;
+use salus::core::boot::{secure_boot, BootPlan};
 use salus::core::instance::{endpoints, TestBed};
 use salus::net::adversary::Snooper;
 
@@ -36,7 +36,7 @@ fn no_secret_material_crosses_any_untrusted_channel_in_plaintext() {
         .map(|(src, dst)| bed.fabric.channel(src, dst).interpose(Snooper::new()))
         .collect();
 
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
 
     for (handle, (src, dst)) in handles.iter().zip(taps.iter()) {
         // The plaintext CL always contains the "SLCL" module-table magic;
@@ -57,7 +57,7 @@ fn local_attestation_channel_hides_metadata() {
         .fabric
         .channel(endpoints::USER_ENCLAVE, endpoints::SM_ENCLAVE)
         .interpose(Snooper::new());
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
     assert!(
         !handle.with(|s| s.saw_bytes(&digest)),
         "bitstream digest crossed the LA channel unencrypted"
@@ -67,7 +67,7 @@ fn local_attestation_channel_hides_metadata() {
 #[test]
 fn shell_cannot_recover_injected_secrets() {
     let mut bed = TestBed::quick_demo();
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
 
     // 1. Readback is disabled.
     assert!(bed.shell.snoop_configuration(0).is_err());
@@ -96,7 +96,7 @@ fn shell_cannot_recover_injected_secrets() {
 #[test]
 fn register_transactions_are_opaque_and_tamper_evident() {
     let mut bed = TestBed::quick_demo();
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
 
     // Snoop PCIe both ways during a register write of a known value.
     let h2f = bed

@@ -3,7 +3,7 @@
 //! service glue; none of the orderings an incorrect caller can produce
 //! may leak a secret or mint an attestation.
 
-use salus::core::boot::secure_boot;
+use salus::core::boot::{secure_boot, BootPlan};
 use salus::core::cl_attest::AttestResponse;
 use salus::core::dev::{sm_enclave_image, user_enclave_image};
 use salus::core::instance::{TestBed, TestBedConfig};
@@ -101,7 +101,7 @@ fn user_app_rejects_forged_cl_result() {
 fn stale_ra_envelope_from_previous_session_rejected() {
     let mut bed = TestBed::provision(TestBedConfig::quick());
     // Complete a full boot and capture the metadata envelope shape.
-    secure_boot(&mut bed).unwrap();
+    secure_boot(&mut bed, BootPlan::single()).unwrap();
 
     // A fresh user app (restart) receives an envelope encrypted to the
     // previous session's key: must fail.
