@@ -60,33 +60,52 @@ fn different_seeds_change_secrets_not_structure() {
 
 #[test]
 fn workload_results_are_machine_independent_constants() {
-    // Spot-check digests of each workload's output: these values pin
-    // the functional behaviour; any unintended change to a kernel or
-    // the data generator breaks this test.
-    use salus::accel::workload::all_workloads;
+    // Golden digests (first 8 SHA-256 bytes) of each kernel's output,
+    // recorded before the fast Conv/Affine kernels replaced the
+    // straightforward loops. Any change to a kernel's bytes or to the
+    // data generator breaks this test; a kernel rewrite must not.
+    use salus::accel::apps::affine::{Affine, AffineMatrix};
+    use salus::accel::apps::conv::Conv;
+    use salus::accel::data::DataGen;
+    use salus::accel::workload::{all_workloads, Workload};
     use salus::crypto::sha256::{to_hex, Sha256};
 
-    let digests: Vec<(String, String)> = all_workloads()
-        .iter()
-        .map(|w| {
-            let out = w.compute(w.input());
-            (w.name().to_owned(), to_hex(&Sha256::digest(&out)[..8]))
-        })
-        .collect();
-
-    // Golden values (first 8 digest bytes) — recorded from the first
-    // green run; the full suite verifies cross-mode equality, this
-    // verifies cross-version stability.
-    for (name, digest) in &digests {
-        assert_eq!(digest.len(), 16, "{name}");
+    fn digest(w: &dyn Workload, input: &[u8]) -> String {
+        to_hex(&Sha256::digest(&w.compute(input))[..8])
     }
-    // Determinism across two constructions.
-    let again: Vec<(String, String)> = all_workloads()
-        .iter()
-        .map(|w| {
-            let out = w.compute(w.input());
-            (w.name().to_owned(), to_hex(&Sha256::digest(&out)[..8]))
-        })
-        .collect();
-    assert_eq!(digests, again);
+    // A non-default input of the workload's own length.
+    fn seeded(w: &dyn Workload) -> Vec<u8> {
+        DataGen::new("determinism-pin").bytes(w.input().len())
+    }
+
+    // The five paper-scale workloads, then the 512² Affine that
+    // `serve-bulk` serves and a small Conv with 2→3 channels.
+    let mut workloads = all_workloads();
+    workloads.push(Box::new(Affine::new(512, AffineMatrix::demo())));
+    workloads.push(Box::new(Conv::new(8, 8, 2, 3)));
+    // (name, default-input digest, seeded-input digest)
+    let expected = [
+        ("Conv", "f5ad8719afa128c6", "1cce4b8b6a2438d8"),
+        ("Affine", "229b20ac88f8f75c", "a8340367a77b39e7"),
+        ("Rendering", "b3dfcb47e7426b02", "54370880277750f0"),
+        ("FaceDetect", "2b9832f0ddbd9c37", "057365b1838674f1"),
+        ("NNSearch", "2d96fc9a405f5a66", "ad9415ebbce6663e"),
+        ("Affine", "d8abc7291650bf8c", "7286404c1358439f"),
+        ("Conv", "0d046e818d65c935", "7ddc7601b4c7bef6"),
+    ];
+    assert_eq!(workloads.len(), expected.len());
+    for (i, (w, (name, default, seeded_pin))) in workloads.iter().zip(expected).enumerate() {
+        let w = w.as_ref();
+        assert_eq!(w.name(), name, "row {i}");
+        assert_eq!(
+            digest(w, w.input()),
+            default,
+            "row {i} ({name}) default input"
+        );
+        assert_eq!(
+            digest(w, &seeded(w)),
+            seeded_pin,
+            "row {i} ({name}) seeded input"
+        );
+    }
 }
