@@ -7,7 +7,7 @@
 
 use salus_bitstream::netlist::Module;
 
-use crate::data::DataGen;
+use crate::data::{fit, DataGen};
 use crate::profile::AppProfile;
 use crate::workload::Workload;
 
@@ -106,7 +106,7 @@ impl Workload for FaceDetect {
     /// Output: one byte per window position (row-major over valid
     /// positions), 1 = face detected.
     fn compute(&self, input: &[u8]) -> Vec<u8> {
-        let ii = Self::integral(input);
+        let ii = Self::integral(&fit(input, SIZE * SIZE));
         let positions = SIZE - WINDOW + 1;
         let mut out = vec![0u8; positions * positions];
         for y in 0..positions {

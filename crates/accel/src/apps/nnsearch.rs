@@ -7,7 +7,7 @@
 
 use salus_bitstream::netlist::Module;
 
-use crate::data::{bytes_to_i16s, i16s_to_bytes, DataGen};
+use crate::data::{bytes_to_i16s, fit, i16s_to_bytes, DataGen};
 use crate::profile::AppProfile;
 use crate::workload::Workload;
 
@@ -48,7 +48,7 @@ impl Workload for NnSearch {
 
     /// Output: one little-endian u32 target index per query.
     fn compute(&self, input: &[u8]) -> Vec<u8> {
-        let points = bytes_to_i16s(input);
+        let points = bytes_to_i16s(&fit(input, self.input.len()));
         let (targets, queries) = points.split_at(self.targets * 3);
         let mut out = Vec::with_capacity(self.queries * 4);
         for q in queries.chunks_exact(3) {

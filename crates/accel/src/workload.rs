@@ -17,6 +17,11 @@ pub trait Workload: Send + Sync {
     /// Computes the output from a serialized input. Pure and
     /// deterministic: the CPU path, the FPGA functional model, and the
     /// on-CL harness all call this and must agree byte-for-byte.
+    ///
+    /// Total over client payloads: an input of any length computes
+    /// without panicking, to an output as long as the one for an input
+    /// of [`Workload::input`]'s length. The fixed-size kernels read a
+    /// short input as zero-extended and ignore bytes past their buffer.
     fn compute(&self, input: &[u8]) -> Vec<u8>;
 
     /// The accelerator netlist module with this design's Table 5
@@ -116,6 +121,23 @@ mod tests {
             assert!(!out.is_empty(), "{} produced no output", w.name());
             // Determinism:
             assert_eq!(out, w.compute(w.input()), "{} not deterministic", w.name());
+        }
+    }
+
+    #[test]
+    fn every_input_length_computes_to_the_exact_output_length() {
+        for w in all_workloads() {
+            let n = w.input().len();
+            let expected = w.compute(w.input()).len();
+            for len in [0, 1, n / 2, n - 1, n + 1, 2 * n] {
+                let input: Vec<u8> = w.input().iter().copied().cycle().take(len).collect();
+                assert_eq!(
+                    w.compute(&input).len(),
+                    expected,
+                    "{} at {len} of {n} bytes",
+                    w.name()
+                );
+            }
         }
     }
 

@@ -239,3 +239,48 @@ fn oversized_payloads_are_rejected_up_front() {
     assert_eq!(err, ServeError::RequestTooLarge { len: max + 1, max });
     assert_eq!(plane.in_flight(), 0);
 }
+
+#[test]
+fn a_short_payload_on_one_lane_does_not_disturb_the_drain() {
+    // A payload shorter than the accelerator's buffer is a client
+    // error, not a node crash: the kernel reads it zero-extended, and
+    // the co-resident lane's responses are untouched.
+    let node = SalusNode::quick(1, 2).expect("provision");
+    let conv = Conv::paper_scale();
+    let affine = Affine::paper_scale();
+    let mut plane = ServingPlane::new(ServingConfig::pipelined(4));
+    let mut lanes = Vec::new();
+    for (i, workload) in [&conv as &dyn Workload, &affine].into_iter().enumerate() {
+        let tenant = node.register_tenant(&format!("tenant{i}"));
+        let session = node.deploy(tenant, workload).expect("deploy");
+        lanes.push(plane.attach(session, workload));
+    }
+
+    let mut gen = PayloadGen(5);
+    let short = conv.input()[..10].to_vec();
+    let short_handle = plane
+        .submit(lanes[0], ClientId(0), short.clone())
+        .expect("short payloads fit");
+    let mut affine_requests = Vec::new();
+    for i in 0..3 {
+        let payload = gen.payload(&affine);
+        let handle = plane
+            .submit(lanes[1], ClientId(i), payload.clone())
+            .expect("queue has room");
+        affine_requests.push((handle, payload));
+    }
+
+    plane.drain().expect("drain");
+    let mut zero_extended = short;
+    zero_extended.resize(conv.input().len(), 0);
+    assert_eq!(
+        plane.take(short_handle).expect("response"),
+        conv.compute(&zero_extended)
+    );
+    for (handle, payload) in affine_requests {
+        assert_eq!(
+            plane.take(handle).expect("response"),
+            affine.compute(&payload)
+        );
+    }
+}
