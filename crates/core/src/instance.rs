@@ -13,6 +13,7 @@
 use salus_bitstream::netlist::Module;
 use salus_fpga::geometry::{DeviceGeometry, DramWindow};
 use salus_fpga::shell::Shell;
+use salus_net::channel::Channel;
 use salus_net::clock::SimClock;
 use salus_net::latency::{LatencyModel, LinkClass};
 use salus_net::rpc::RpcFabric;
@@ -321,6 +322,7 @@ impl TestBedBuilder {
             sm_app,
             sm_logic: None,
             host_reg: None,
+            reg_links: None,
             partition,
             dram_window,
             names,
@@ -362,6 +364,11 @@ pub struct TestBed {
     pub sm_logic: Option<SmLogic>,
     /// The host register-channel endpoint, available after boot.
     pub host_reg: Option<HostRegChannel>,
+    /// The host→FPGA and FPGA→host links register traffic crosses,
+    /// looked up on the first register op. Holding the handles is
+    /// equivalent to looking them up per op: the fabric never drops a
+    /// channel, and every clone shares its adversary and fault plane.
+    reg_links: Option<(Channel, Channel)>,
     /// Target reconfigurable partition.
     pub partition: usize,
     /// The partition's private DRAM window. All session DMA and
@@ -453,18 +460,21 @@ impl TestBed {
             .sm_logic
             .as_mut()
             .ok_or(crate::SalusError::SmLogicUnavailable("not booted"))?;
+        let (to_fpga, to_host) = self.reg_links.get_or_insert_with(|| {
+            let (host, fpga) = (&self.names.host, &self.names.fpga);
+            (
+                self.fabric.channel(host, fpga),
+                self.fabric.channel(fpga, host),
+            )
+        });
         let sealed = host_reg.seal_op(op);
 
         // The transaction crosses the shell-controlled PCIe bus.
-        let channel = self.fabric.channel(&self.names.host, &self.names.fpga);
-        let observed = channel.transmit(&sealed.to_bytes())?;
+        let observed = to_fpga.transmit(&sealed.to_bytes())?;
         let observed = crate::reg_channel::SealedRegMsg::from_bytes(&observed)?;
         let response = logic.handle_register(&observed)?;
 
-        let back = self
-            .fabric
-            .channel(&self.names.fpga, &self.names.host)
-            .transmit(&response.to_bytes())?;
+        let back = to_host.transmit(&response.to_bytes())?;
         let back = crate::reg_channel::SealedRegMsg::from_bytes(&back)?;
         host_reg.open_response(&back)
     }
