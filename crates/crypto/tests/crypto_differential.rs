@@ -1,145 +1,23 @@
-//! Differential and known-answer tests for the fast crypto data plane.
+//! Differential tests for the fast crypto data plane.
 //!
-//! Three layers of evidence that the optimised paths (T-table AES,
-//! block-oriented seekable CTR, 8-bit-table GHASH, parallel bulk
-//! application) compute exactly what the auditable reference paths do:
+//! Two layers of evidence that the optimised paths (T-table AES,
+//! block-oriented seekable CTR, parallel bulk application) compute
+//! exactly what the auditable reference paths do:
 //!
-//! 1. **Known-answer vectors** — the McGrew–Viega GCM test vectors
-//!    (also part of the NIST CAVP set), including multi-block AAD,
-//!    full-4-block ciphertexts and non-96-bit IVs.
-//! 2. **Seek equivalence** — positioning a CTR stream by block index or
+//! 1. **Seek equivalence** — positioning a CTR stream by block index or
 //!    byte offset matches streaming from the start.
-//! 3. **DRBG-seeded differential fuzz** — fast vs reference block
+//! 2. **DRBG-seeded differential fuzz** — fast vs reference block
 //!    cipher, chunked vs one-shot vs parallel CTR, and GCM
 //!    seal/open/tamper over randomised lengths, offsets and splits.
+//!
+//! The GCM known-answer vectors (NIST and McGrew–Viega) are unit tests
+//! in `gcm.rs`, where they run on both the hardware and the portable
+//! kernels.
 
 use salus_crypto::aes::{Aes128, Aes256};
 use salus_crypto::ctr::{AesCtr128, AesCtr256};
 use salus_crypto::drbg::HmacDrbg;
 use salus_crypto::gcm::{AesGcm128, AesGcm256};
-
-fn unhex(s: &str) -> Vec<u8> {
-    assert!(s.len().is_multiple_of(2), "odd hex length");
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
-        .collect()
-}
-
-/// McGrew–Viega test case 3 / 15 key material, shared below.
-const MV_KEY_128: &str = "feffe9928665731c6d6a8f9467308308";
-const MV_KEY_256: &str = "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308";
-const MV_PLAIN_64: &str = "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-                           1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
-const MV_PLAIN_60: &str = "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
-                           1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39";
-const MV_AAD: &str = "feedfacedeadbeeffeedfacedeadbeefabaddad2";
-
-#[test]
-fn gcm128_vector_full_four_block_ciphertext() {
-    // McGrew–Viega test case 3: 64-byte plaintext, no AAD.
-    let key: [u8; 16] = unhex(MV_KEY_128).try_into().unwrap();
-    let cipher = AesGcm128::new(&key);
-    let nonce = unhex("cafebabefacedbaddecaf888");
-    let plain = unhex(MV_PLAIN_64);
-
-    let sealed = cipher.seal(&nonce, &[], &plain);
-    let expect_ct = unhex(
-        "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
-         21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
-    );
-    let expect_tag = unhex("4d5c2af327cd64a62cf35abd2ba6fab4");
-    assert_eq!(&sealed[..64], &expect_ct[..]);
-    assert_eq!(&sealed[64..], &expect_tag[..]);
-    assert_eq!(cipher.open(&nonce, &[], &sealed).unwrap(), plain);
-}
-
-#[test]
-fn gcm256_vector_full_four_block_ciphertext() {
-    // McGrew–Viega test case 15: 64-byte plaintext, no AAD.
-    let key: [u8; 32] = unhex(MV_KEY_256).try_into().unwrap();
-    let cipher = AesGcm256::new(&key);
-    let nonce = unhex("cafebabefacedbaddecaf888");
-    let plain = unhex(MV_PLAIN_64);
-
-    let sealed = cipher.seal(&nonce, &[], &plain);
-    let expect_ct = unhex(
-        "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa\
-         8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad",
-    );
-    let expect_tag = unhex("b094dac5d93471bdec1a502270e3cc6c");
-    assert_eq!(&sealed[..64], &expect_ct[..]);
-    assert_eq!(&sealed[64..], &expect_tag[..]);
-    assert_eq!(cipher.open(&nonce, &[], &sealed).unwrap(), plain);
-}
-
-#[test]
-fn gcm128_vector_short_iv_multiblock_aad() {
-    // McGrew–Viega test case 5: 8-byte IV (exercises the GHASH-derived
-    // J0 path) with the 20-byte (two-block) AAD.
-    let key: [u8; 16] = unhex(MV_KEY_128).try_into().unwrap();
-    let cipher = AesGcm128::new(&key);
-    let nonce = unhex("cafebabefacedbad");
-    let plain = unhex(MV_PLAIN_60);
-    let aad = unhex(MV_AAD);
-
-    let sealed = cipher.seal(&nonce, &aad, &plain);
-    let expect_ct = unhex(
-        "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c7423\
-         73806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598",
-    );
-    let expect_tag = unhex("3612d2e79e3b0785561be14aaca2fccb");
-    assert_eq!(&sealed[..60], &expect_ct[..]);
-    assert_eq!(&sealed[60..], &expect_tag[..]);
-    assert_eq!(cipher.open(&nonce, &aad, &sealed).unwrap(), plain);
-}
-
-#[test]
-fn gcm128_vector_multiblock_iv_and_aad() {
-    // McGrew–Viega test case 6: 60-byte IV — J0 itself is a multi-block
-    // GHASH — plus the two-block AAD.
-    let key: [u8; 16] = unhex(MV_KEY_128).try_into().unwrap();
-    let cipher = AesGcm128::new(&key);
-    let nonce = unhex(
-        "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728\
-         c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
-    );
-    let plain = unhex(MV_PLAIN_60);
-    let aad = unhex(MV_AAD);
-
-    let sealed = cipher.seal(&nonce, &aad, &plain);
-    let expect_ct = unhex(
-        "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca7\
-         01e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5",
-    );
-    let expect_tag = unhex("619cc5aefffe0bfa462af43c1699d050");
-    assert_eq!(&sealed[..60], &expect_ct[..]);
-    assert_eq!(&sealed[60..], &expect_tag[..]);
-    assert_eq!(cipher.open(&nonce, &aad, &sealed).unwrap(), plain);
-}
-
-#[test]
-fn gcm256_vector_multiblock_iv_and_aad() {
-    // McGrew–Viega test case 18: AES-256 with the 60-byte IV and AAD.
-    let key: [u8; 32] = unhex(MV_KEY_256).try_into().unwrap();
-    let cipher = AesGcm256::new(&key);
-    let nonce = unhex(
-        "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728\
-         c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
-    );
-    let plain = unhex(MV_PLAIN_60);
-    let aad = unhex(MV_AAD);
-
-    let sealed = cipher.seal(&nonce, &aad, &plain);
-    let expect_ct = unhex(
-        "5a8def2f0c9e53f1f75d7853659e2a20eeb2b22aafde6419a058ab4f6f746bf4\
-         0fc0c3b780f244452da3ebf1c5d82cdea2418997200ef82e44ae7e3f",
-    );
-    let expect_tag = unhex("a44a8266ee1c8eb0c8b5d4cf5ae9f19a");
-    assert_eq!(&sealed[..60], &expect_ct[..]);
-    assert_eq!(&sealed[60..], &expect_tag[..]);
-    assert_eq!(cipher.open(&nonce, &aad, &sealed).unwrap(), plain);
-}
 
 #[test]
 fn gcm_long_ciphertext_multiblock_aad_roundtrip() {
