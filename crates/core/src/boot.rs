@@ -579,7 +579,6 @@ struct BootState {
     mfr_challenge: Option<[u8; 32]>,
     sm_quote: Option<(salus_tee::quote::Quote, [u8; 32])>,
     key_envelope: Option<RaEnvelope>,
-    encrypted: Option<Vec<u8>>,
     final_quote: Option<salus_tee::quote::Quote>,
     data_key_envelope: Option<RaEnvelope>,
 }
@@ -703,7 +702,6 @@ impl BootMachine {
                         // Never re-send a ciphertext whose delivery state
                         // is unknown: regress and re-derive fresh secrets
                         // and a fresh GCM nonce before the next attempt.
-                        self.state.encrypted = None;
                         self.cursor = step_index(BootStep::BitstreamEncrypt);
                     }
                 }
@@ -929,16 +927,18 @@ fn exec_step(
         BootStep::BitstreamEncrypt => {
             bed.cost
                 .charge(&clock, Op::BitstreamEncrypt(bed.cl_store.len()));
-            let cl = bed.cl_store.clone();
-            state.encrypted = Some(bed.sm_app.prepare_bitstream(&cl)?);
+            bed.sm_app.prepare_bitstream(&bed.cl_store)?;
         }
         // ── ⑤→⑥ Shell deployment and internal decryption ─────────────
         BootStep::ClLoad => {
-            let encrypted = need(&state.encrypted, "machine: no encrypted bitstream")?;
+            let encrypted = bed
+                .sm_app
+                .prepared_bitstream()
+                .ok_or(SalusError::Malformed("machine: no encrypted bitstream"))?;
             let h2f = bed.fabric.channel(&bed.names.host, &bed.names.fpga);
             let observed = send(&h2f, encrypted, plan)?;
             bed.cost.charge(&clock, Op::IcapProgram(observed.len()));
-            bed.shell.deploy_bitstream(&observed)?;
+            bed.shell.deploy_bitstream(observed)?;
         }
         // ── ⑦ CL attestation ───────────────────────────────────────────
         BootStep::ClAuthentication => {
@@ -1009,20 +1009,17 @@ pub fn secure_boot(bed: &mut TestBed, plan: BootPlan) -> Result<BootOutcome, Boo
     BootMachine::new(plan).run(bed)
 }
 
-/// Reloads a parked, already-encrypted CL onto `bed`'s partition and
-/// re-attests it: the machine's `ClLoad → ClAuthentication` suffix,
-/// single attempt, no manufacturer round trip, no manipulation, no
-/// re-encryption. The loaded CL still holds the injected `Key_attest`,
-/// so the standard attestation round trip re-attests it.
-pub(crate) fn reload_image(
-    bed: &mut TestBed,
-    encrypted: Vec<u8>,
-) -> Result<BootOutcome, BootFailure> {
+/// Reloads the CL `bed`'s SM enclave last encrypted onto `bed`'s
+/// partition and re-attests it: the machine's `ClLoad →
+/// ClAuthentication` suffix, single attempt, no manufacturer round
+/// trip, no manipulation, no re-encryption. The loaded CL still holds
+/// the injected `Key_attest`, so the standard attestation round trip
+/// re-attests it.
+pub(crate) fn reload_image(bed: &mut TestBed) -> Result<BootOutcome, BootFailure> {
     let mut machine = BootMachine::new(BootPlan::single());
     machine.cursor = step_index(BootStep::ClLoad);
     machine.high_water = machine.cursor;
     machine.end = step_index(BootStep::ClAuthentication) + 1;
-    machine.state.encrypted = Some(encrypted);
     machine.run(bed)
 }
 

@@ -74,7 +74,7 @@ pub fn deploy_multi_rp(
     // here touches the device, so the partitions are data-parallel;
     // only the deploy/attest phase below serialises on the shell.
     let accelerators: Vec<Module> = (0..n).map(&mut make_accelerator).collect();
-    let prepared: Vec<Result<(SmApp, Vec<u8>), SalusError>> = std::thread::scope(|scope| {
+    let prepared: Vec<Result<SmApp, SalusError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = accelerators
             .into_iter()
             .enumerate()
@@ -90,8 +90,8 @@ pub fn deploy_multi_rp(
                     let package = develop_cl(module, geometry.partitions[partition], partition)?;
                     agent.install_metadata(package.metadata());
 
-                    let encrypted = agent.prepare_bitstream(&package.compiled.wire)?;
-                    Ok((agent, encrypted))
+                    agent.prepare_bitstream(&package.compiled.wire)?;
+                    Ok(agent)
                 })
             })
             .collect();
@@ -104,8 +104,9 @@ pub fn deploy_multi_rp(
     // Phase 2 — deploy + attest each partition against the one shell.
     let mut attested = Vec::with_capacity(n);
     for (partition, result) in prepared.into_iter().enumerate() {
-        let (mut agent, encrypted) = result?;
-        shell.deploy_bitstream(&encrypted)?;
+        let mut agent = result?;
+        let encrypted = agent.prepared_bitstream().expect("prepared in phase 1");
+        shell.deploy_bitstream(encrypted)?;
 
         let sm_logic = SmLogic::bind(shell.device(), partition)?;
         let request = agent.attest_request()?;

@@ -384,11 +384,11 @@ impl DeploySuspension {
     }
 }
 
-/// A parked (evicted) deployment, ready for warm redeploy.
+/// A parked (evicted) deployment, ready for warm redeploy: its SM
+/// enclave still holds the encrypted CL it last loaded.
 struct ParkedDeployment {
     bed: Box<TestBed>,
     slot: SlotId,
-    encrypted: Vec<u8>,
     /// Family the parked ciphertext was framed for; redeploy affinity
     /// is only honoured on a family-compatible board.
     family: FamilyId,
@@ -1243,11 +1243,9 @@ impl ControlPlane {
     pub fn evict(&self, deployment: TenantDeployment) -> Result<TenantId, SalusError> {
         // Fail early, before anything is journaled: an unparkable
         // deployment never opens an intent.
-        let encrypted = deployment
-            .bed
-            .sm_app
-            .prepared_bitstream()
-            .ok_or(SalusError::Scheduler("nothing to park"))?;
+        if deployment.bed.sm_app.prepared_bitstream().is_none() {
+            return Err(SalusError::Scheduler("nothing to park"));
+        }
         let tenant = deployment.tenant;
         let slot = deployment.slot;
         let op = self.journal_begin(IntentOp::Evict { tenant, slot });
@@ -1276,7 +1274,6 @@ impl ControlPlane {
             ParkedDeployment {
                 bed: Box::new(bed),
                 slot,
-                encrypted,
                 family,
             },
         );
@@ -1346,7 +1343,7 @@ impl ControlPlane {
             let _ = self.release(lease.slot);
             return Err(SalusError::Scheduler("no parked deployment"));
         };
-        match reload_image(&mut parked.bed, parked.encrypted.clone()) {
+        match reload_image(&mut parked.bed) {
             Ok(outcome) => {
                 if self.crash_tick("redeploy.pre-commit") {
                     // The board is programmed but the commit never

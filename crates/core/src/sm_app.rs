@@ -191,21 +191,22 @@ impl SmApp {
     /// Valid only for the (device, partition) pair it was prepared for —
     /// the partition index is baked into the package digest and the
     /// ciphertext is GCM-bound to the device DNA.
-    pub(crate) fn prepared_bitstream(&self) -> Option<Vec<u8>> {
-        self.prepared.clone()
+    pub(crate) fn prepared_bitstream(&self) -> Option<&[u8]> {
+        self.prepared.as_deref()
     }
 
     /// Step ⑤: verifies the fetched plaintext bitstream against `H`,
     /// injects fresh `Key_attest` / `Key_session` / `Ctr_session` by
     /// bitstream manipulation, and encrypts the result for the target
-    /// device. Returns the encrypted stream for the shell.
+    /// device. Returns the encrypted stream for the shell; the enclave
+    /// keeps it, so an evicted deployment can reload it warm.
     ///
     /// # Errors
     ///
     /// * [`SalusError::DigestMismatch`] when the fetched bitstream is
     ///   not the expected one,
     /// * state errors when metadata / device key / DNA are missing.
-    pub fn prepare_bitstream(&mut self, cl_bitstream: &[u8]) -> Result<Vec<u8>, SalusError> {
+    pub fn prepare_bitstream(&mut self, cl_bitstream: &[u8]) -> Result<&[u8], SalusError> {
         let metadata = self
             .metadata
             .as_ref()
@@ -270,8 +271,7 @@ impl SmApp {
             ctr_seed,
         });
         self.cl_attested = false;
-        self.prepared = Some(encrypted.clone());
-        Ok(encrypted)
+        Ok(self.prepared.insert(encrypted))
     }
 
     /// Step ⑦ part 1: issues a fresh CL-attestation challenge.
