@@ -26,11 +26,11 @@
 //! * [`x25519`] — X25519 Diffie-Hellman (RFC 7748; enclave key exchange)
 //! * [`ct`] — constant-time comparison helpers
 //!
-//! On x86-64 hosts with AES-NI and the SHA extensions, the AES block
-//! cipher and the SHA-256 compression function run on those
-//! instructions, detected at run time; every other host runs the
-//! portable code. Both give the same bytes. [`backend`] names the
-//! kernels in use.
+//! On x86-64 hosts with AES-NI, the SHA extensions and PCLMULQDQ, the
+//! AES block cipher, the SHA-256 compression function and GCM's GHASH
+//! run on those instructions, detected at run time; every other host
+//! runs the portable code. Both give the same bytes. [`backend`] names
+//! the kernels in use.
 //!
 //! ## Example
 //!
@@ -69,9 +69,10 @@ mod hw;
 
 pub use error::CryptoError;
 
-/// The AES and SHA-256 kernels this host dispatches to: `aesni+shani`,
-/// `aesni` or `shani` when the CPU has those x86-64 extensions,
-/// otherwise `portable`.
+/// The AES, SHA-256 and GHASH kernels this host dispatches to: the
+/// x86-64 extensions the CPU has among `aesni`, `shani` and `pclmul`,
+/// `+`-joined in that order (`aesni+shani+pclmul` on a current x86-64
+/// server), otherwise `portable`.
 pub fn backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     return hw::backend();
