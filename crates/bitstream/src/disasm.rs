@@ -40,14 +40,14 @@ pub fn disassemble(stream: &[u8]) -> Result<Vec<DisasmLine>, BitstreamError> {
             Packet::Write {
                 reg: Reg::Idcode,
                 payload,
-            } => match payload.first().copied().map(FamilyId::from_code) {
+            } => match payload.first().map(FamilyId::from_code) {
                 Some(Some(family)) => {
                     frame_words = Some(family.frame_words());
                     format!("WRITE IDCODE {:#010x} ({family})", family.code())
                 }
                 Some(None) => format!(
                     "WRITE IDCODE {:#010x} (unknown family)",
-                    payload.first().copied().unwrap_or(0)
+                    payload.first().unwrap_or(0)
                 ),
                 None => "WRITE IDCODE (empty)".to_owned(),
             },
@@ -56,7 +56,7 @@ pub fn disassemble(stream: &[u8]) -> Result<Vec<DisasmLine>, BitstreamError> {
                 reg: Reg::Cmd,
                 payload,
             } => {
-                let name = match payload.first().copied().unwrap_or(u32::MAX) {
+                let name = match payload.first().unwrap_or(u32::MAX) {
                     0x0 => "Null",
                     0x1 => "Wcfg",
                     0x4 => "Rcfg",
@@ -84,13 +84,10 @@ pub fn disassemble(stream: &[u8]) -> Result<Vec<DisasmLine>, BitstreamError> {
                 "WRITE ENC {} words (AES-GCM envelope, opaque without Key_device)",
                 payload.len()
             ),
-            Packet::Write { reg, payload } => {
-                if payload.len() == 1 {
-                    format!("WRITE {reg:?} {:#010x}", payload[0])
-                } else {
-                    format!("WRITE {reg:?} {} words", payload.len())
-                }
-            }
+            Packet::Write { reg, payload } => match payload.first() {
+                Some(word) if payload.len() == 1 => format!("WRITE {reg:?} {word:#010x}"),
+                _ => format!("WRITE {reg:?} {} words", payload.len()),
+            },
         };
         lines.push(DisasmLine { index, text });
     }
@@ -178,7 +175,7 @@ fn fdri_payload(stream: &[u8]) -> Result<Vec<u8>, BitstreamError> {
             Packet::Write {
                 reg: Reg::Fdri,
                 payload,
-            } => Some(wire::words_to_bytes(payload)),
+            } => Some(payload.as_bytes().to_vec()),
             _ => None,
         })
         .ok_or(BitstreamError::Fpga(

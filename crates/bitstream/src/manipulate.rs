@@ -113,16 +113,16 @@ fn extract_payload(wire_stream: &[u8]) -> Result<(u32, u32, Vec<u8>), BitstreamE
             Packet::Write {
                 reg: Reg::Far,
                 payload: w,
-            } => far = w.first().copied(),
+            } => far = w.first(),
             Packet::Write {
                 reg: Reg::Idcode,
                 payload: w,
-            } => family_code = w.first().copied(),
+            } => family_code = w.first(),
             Packet::Write {
                 reg: Reg::Fdri,
                 payload: w,
             } => {
-                payload = Some(wire::words_to_bytes(w));
+                payload = Some(w.as_bytes().to_vec());
             }
             _ => {}
         }
