@@ -236,14 +236,11 @@ mod tests {
 
     #[test]
     fn garbage_configuration_does_not_decode() {
-        use salus_fpga::frame::Frame;
         let geometry = DeviceGeometry::tiny();
         let mut config = salus_fpga::frame::ConfigMemory::blank(geometry.partitions[0]);
-        let fb = config.frame_bytes();
-        let frames: Vec<Frame> = (0..config.frame_count())
-            .map(|_| Frame::from_bytes(&vec![0x99; fb], fb).unwrap())
-            .collect();
-        config.reconfigure(frames).unwrap();
+        config
+            .reconfigure(vec![0x99; geometry.partitions[0].config_bytes()])
+            .unwrap();
         assert!(matches!(
             LogicImage::decode(&config),
             Err(BitstreamError::UndecodableImage(_))

@@ -8,70 +8,18 @@
 //!
 //! Frame *length* is a property of the partition's device family
 //! ([`PartitionGeometry::frame_bytes`]), not a global constant; every
-//! frame of one memory has that family's length and
-//! [`ConfigMemory::reconfigure`] rejects frames of any other.
+//! frame of one memory has that family's length, and
+//! [`ConfigMemory::reconfigure`] rejects data that is not a whole
+//! number of them.
 
 use crate::geometry::PartitionGeometry;
 use crate::FpgaError;
 
-/// One configuration frame's payload. Length is fixed per device
-/// family (see [`crate::family::FamilyId::frame_bytes`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    bytes: Vec<u8>,
-}
-
-impl Frame {
-    /// An all-zero (erased) frame of `frame_bytes` bytes.
-    pub fn zeroed(frame_bytes: usize) -> Frame {
-        Frame {
-            bytes: vec![0; frame_bytes],
-        }
-    }
-
-    /// Creates a frame from exactly `frame_bytes` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `bytes` has the wrong length for the
-    /// family's framing.
-    pub fn from_bytes(bytes: &[u8], frame_bytes: usize) -> Result<Frame, FpgaError> {
-        if bytes.len() != frame_bytes {
-            return Err(FpgaError::MalformedBitstream("frame payload length"));
-        }
-        Ok(Frame {
-            bytes: bytes.to_vec(),
-        })
-    }
-
-    /// The frame's length in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the frame is zero-length (never true for a frame built
-    /// by a real family's framing).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The frame's raw bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Mutable access (used by bitstream manipulation before loading —
-    /// never by the shell after loading).
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-}
-
-/// The configuration memory of one partition.
+/// The configuration memory of one partition: its frames, back to back.
 #[derive(Debug, Clone)]
 pub struct ConfigMemory {
     geometry: PartitionGeometry,
-    frames: Vec<Frame>,
+    bytes: Vec<u8>,
     configured: bool,
 }
 
@@ -80,7 +28,7 @@ impl ConfigMemory {
     pub fn blank(geometry: PartitionGeometry) -> ConfigMemory {
         ConfigMemory {
             geometry,
-            frames: vec![Frame::zeroed(geometry.frame_bytes()); geometry.total_frames() as usize],
+            bytes: vec![0; geometry.config_bytes()],
             configured: false,
         }
     }
@@ -102,51 +50,55 @@ impl ConfigMemory {
 
     /// Total frame count.
     pub fn frame_count(&self) -> u32 {
-        self.frames.len() as u32
+        self.geometry.total_frames()
     }
 
     /// Reads one frame (internal fabric access — *not* shell readback;
     /// the ICAP gate for readback is in [`crate::icap`]).
-    pub fn frame(&self, index: u32) -> Result<&Frame, FpgaError> {
-        self.frames
-            .get(index as usize)
+    ///
+    /// # Errors
+    ///
+    /// [`FpgaError::FrameOutOfRange`] past the last frame.
+    pub fn frame(&self, index: u32) -> Result<&[u8], FpgaError> {
+        let frame_bytes = self.frame_bytes();
+        let start = index as usize * frame_bytes;
+        self.bytes
+            .get(start..start + frame_bytes)
             .ok_or(FpgaError::FrameOutOfRange {
                 index,
                 limit: self.frame_count(),
             })
     }
 
-    /// Replaces the **entire** partition contents. `frames` must cover
-    /// every frame — partial writes are structurally impossible, which is
-    /// Observation 2 — and each frame must have this family's length.
+    /// Replaces the **entire** partition contents with `frames`, the
+    /// partition's frames back to back. They must cover every frame —
+    /// partial writes are structurally impossible, which is Observation
+    /// 2 — in this family's frame length.
     ///
     /// # Errors
     ///
-    /// [`FpgaError::IncompleteReconfiguration`] when the count
-    /// mismatches; [`FpgaError::MalformedBitstream`] when a frame has
-    /// another family's length.
-    pub fn reconfigure(&mut self, frames: Vec<Frame>) -> Result<(), FpgaError> {
-        if frames.len() != self.frames.len() {
+    /// [`FpgaError::MalformedBitstream`] when `frames` is not a whole
+    /// number of this family's frames; [`FpgaError::IncompleteReconfiguration`]
+    /// when it holds another number of frames than the partition.
+    pub fn reconfigure(&mut self, frames: Vec<u8>) -> Result<(), FpgaError> {
+        let frame_bytes = self.frame_bytes();
+        if !frames.len().is_multiple_of(frame_bytes) {
+            return Err(FpgaError::MalformedBitstream("frame payload length"));
+        }
+        if frames.len() != self.bytes.len() {
             return Err(FpgaError::IncompleteReconfiguration {
-                written: frames.len() as u32,
+                written: (frames.len() / frame_bytes) as u32,
                 expected: self.frame_count(),
             });
         }
-        let want = self.frame_bytes();
-        if frames.iter().any(|f| f.len() != want) {
-            return Err(FpgaError::MalformedBitstream("frame payload length"));
-        }
-        self.frames = frames;
+        self.bytes = frames;
         self.configured = true;
         Ok(())
     }
 
     /// Clears the partition back to the erased state.
     pub fn erase(&mut self) {
-        let blank = Frame::zeroed(self.frame_bytes());
-        for f in &mut self.frames {
-            *f = blank.clone();
-        }
+        self.bytes.fill(0);
         self.configured = false;
     }
 
@@ -164,35 +116,21 @@ impl ConfigMemory {
         len: usize,
     ) -> Result<Vec<u8>, FpgaError> {
         let frame_bytes = self.frame_bytes();
-        let start = frame_index as usize * frame_bytes + offset;
-        let end = start + len;
-        let flat_len = self.frames.len() * frame_bytes;
-        if end > flat_len {
-            return Err(FpgaError::FrameOutOfRange {
-                index: (end / frame_bytes) as u32,
+        let start = (frame_index as usize * frame_bytes).saturating_add(offset);
+        let end = start.saturating_add(len);
+        self.bytes
+            .get(start..end)
+            .map(<[u8]>::to_vec)
+            .ok_or(FpgaError::FrameOutOfRange {
+                index: u32::try_from(end / frame_bytes).unwrap_or(u32::MAX),
                 limit: self.frame_count(),
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut pos = start;
-        while pos < end {
-            let frame = &self.frames[pos / frame_bytes];
-            let in_frame = pos % frame_bytes;
-            let take = (frame_bytes - in_frame).min(end - pos);
-            out.extend_from_slice(&frame.as_bytes()[in_frame..in_frame + take]);
-            pos += take;
-        }
-        Ok(out)
+            })
     }
 
-    /// Flattens all frames into one byte vector (used for digesting the
-    /// loaded image in tests).
+    /// All frames back to back (used for digesting the loaded image in
+    /// tests).
     pub fn flatten(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.frames.len() * self.frame_bytes());
-        for f in &self.frames {
-            out.extend_from_slice(f.as_bytes());
-        }
-        out
+        self.bytes.clone()
     }
 }
 
@@ -208,25 +146,25 @@ mod tests {
         ConfigMemory::blank(DeviceGeometry::tiny().partitions[0])
     }
 
-    fn full_frames(mem: &ConfigMemory, fill: u8) -> Vec<Frame> {
-        (0..mem.frame_count())
-            .map(|_| Frame::from_bytes(&vec![fill; mem.frame_bytes()], mem.frame_bytes()).unwrap())
-            .collect()
+    fn full_frames(mem: &ConfigMemory, fill: u8) -> Vec<u8> {
+        vec![fill; mem.frame_count() as usize * mem.frame_bytes()]
     }
 
     #[test]
     fn blank_memory_is_unconfigured_zeroes() {
         let mem = tiny_mem();
         assert!(!mem.is_configured());
-        assert_eq!(mem.frame(0).unwrap().as_bytes()[0], 0);
+        assert_eq!(mem.frame(0).unwrap()[0], 0);
+        assert_eq!(mem.frame(0).unwrap().len(), FB);
         assert_eq!(mem.frame_bytes(), FB);
+        assert!(mem.frame(mem.frame_count()).is_err());
     }
 
     #[test]
     fn reconfigure_requires_every_frame() {
         let mut mem = tiny_mem();
         let mut frames = full_frames(&mem, 0xAB);
-        frames.pop();
+        frames.truncate(frames.len() - FB);
         assert!(matches!(
             mem.reconfigure(frames),
             Err(FpgaError::IncompleteReconfiguration { .. })
@@ -236,16 +174,14 @@ mod tests {
         let frames = full_frames(&mem, 0xAB);
         mem.reconfigure(frames).unwrap();
         assert!(mem.is_configured());
-        assert_eq!(mem.frame(0).unwrap().as_bytes()[5], 0xAB);
+        assert_eq!(mem.frame(0).unwrap()[5], 0xAB);
     }
 
     #[test]
     fn reconfigure_rejects_foreign_family_frame_length() {
         let mut mem = tiny_mem();
-        let alien = FamilyId::Versal.frame_bytes();
-        let frames: Vec<Frame> = (0..mem.frame_count())
-            .map(|_| Frame::zeroed(alien))
-            .collect();
+        let frames = vec![0; mem.frame_count() as usize * FamilyId::Versal.frame_bytes()];
+        assert!(!frames.len().is_multiple_of(FB));
         assert!(matches!(
             mem.reconfigure(frames),
             Err(FpgaError::MalformedBitstream(_))
@@ -259,7 +195,7 @@ mod tests {
         mem.reconfigure(full_frames(&mem, 0x11)).unwrap();
         mem.reconfigure(full_frames(&mem, 0x22)).unwrap();
         for i in 0..mem.frame_count() {
-            assert!(mem.frame(i).unwrap().as_bytes().iter().all(|&b| b == 0x22));
+            assert!(mem.frame(i).unwrap().iter().all(|&b| b == 0x22));
         }
     }
 
@@ -267,8 +203,8 @@ mod tests {
     fn read_bytes_crosses_frame_boundaries() {
         let mut mem = tiny_mem();
         let mut frames = full_frames(&mem, 0);
-        frames[0].as_bytes_mut()[FB - 1] = 0xAA;
-        frames[1].as_bytes_mut()[0] = 0xBB;
+        frames[FB - 1] = 0xAA;
+        frames[FB] = 0xBB;
         mem.reconfigure(frames).unwrap();
         let got = mem.read_bytes(0, FB - 1, 2).unwrap();
         assert_eq!(got, vec![0xAA, 0xBB]);
@@ -280,6 +216,7 @@ mod tests {
         let last = mem.frame_count() - 1;
         assert!(mem.read_bytes(last, FB - 1, 2).is_err());
         assert!(mem.read_bytes(mem.frame_count(), 0, 1).is_err());
+        assert!(mem.read_bytes(0, usize::MAX, 1).is_err());
     }
 
     #[test]
@@ -289,12 +226,5 @@ mod tests {
         mem.erase();
         assert!(!mem.is_configured());
         assert!(mem.flatten().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn frame_from_bytes_validates_length() {
-        assert!(Frame::from_bytes(&[0u8; FB], FB).is_ok());
-        assert!(Frame::from_bytes(&[0u8; FB - 1], FB).is_err());
-        assert!(Frame::from_bytes(&[0u8; FB + 1], FB).is_err());
     }
 }
