@@ -7,8 +7,10 @@ use salus::bitstream::compile::compile;
 use salus::bitstream::image::LogicImage;
 use salus::bitstream::manipulate::{read_cell, rewrite_cell};
 use salus::bitstream::netlist::{BramCell, Module, Netlist};
+use salus::core::dev::develop_cl;
 use salus::fpga::device::Device;
 use salus::fpga::geometry::DeviceGeometry;
+use salus::fpga::wire::{crc32, parse, Packet, Reg};
 
 /// Strategy: a small random netlist that fits the tiny geometry.
 fn arb_netlist() -> impl Strategy<Value = Netlist> {
@@ -131,4 +133,42 @@ proptest! {
             prop_assert!(!device.partition(0).unwrap().is_configured());
         }
     }
+}
+
+/// CRC-32 one bit at a time, with no table: an oracle independent of
+/// the slicing tables behind `wire::crc32`.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// The 3.39 MB wire every paper-node deploy compiles, encrypts and
+/// CRC-checks: `wire::crc32` agrees with the oracle over all of it, and
+/// its CRC word is the oracle's CRC of FAR and the frame data.
+#[test]
+fn crc32_matches_bitwise_oracle_on_the_paper_wire() {
+    let geometry = salus::node::node_geometry(2).partitions[0];
+    let accelerator = salus::core::instance::TestBedConfig::paper().accelerator;
+    let wire = develop_cl(accelerator, geometry, 0).unwrap().compiled.wire;
+    assert_eq!(wire.len(), 3_389_756);
+    assert_eq!(crc32(&wire), crc32_bitwise(&wire));
+    let (mut far, mut fdri, mut crc_word) = (None, None, None);
+    for packet in parse(&wire).unwrap() {
+        if let Packet::Write { reg, payload } = packet {
+            match reg {
+                Reg::Far => far = Some(payload.as_bytes()),
+                Reg::Fdri => fdri = Some(payload.as_bytes()),
+                Reg::Crc => crc_word = payload.first(),
+                _ => {}
+            }
+        }
+    }
+    let covered = [far.unwrap(), fdri.unwrap()].concat();
+    assert_eq!(crc_word, Some(crc32_bitwise(&covered)));
 }
