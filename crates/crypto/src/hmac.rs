@@ -40,25 +40,11 @@ impl std::fmt::Debug for HmacSha256 {
 impl HmacSha256 {
     /// Creates an HMAC context keyed with `key`.
     pub fn new(key: &[u8]) -> HmacSha256 {
-        let mut block_key = [0u8; 64];
-        if key.len() > 64 {
-            block_key[..DIGEST_SIZE].copy_from_slice(&Sha256::digest(key));
-        } else {
-            block_key[..key.len()].copy_from_slice(key);
+        let [inner, outer] = pad_midstates(key);
+        HmacSha256 {
+            inner: Sha256::resume(inner, 64),
+            outer: Sha256::resume(outer, 64),
         }
-
-        let mut ipad = [0x36u8; 64];
-        let mut opad = [0x5cu8; 64];
-        for i in 0..64 {
-            ipad[i] ^= block_key[i];
-            opad[i] ^= block_key[i];
-        }
-
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -77,6 +63,22 @@ impl HmacSha256 {
     pub fn verify(self, expected: &[u8]) -> bool {
         crate::ct::eq(&self.finalize(), expected)
     }
+}
+
+/// The SHA-256 states after the inner (`key ⊕ ipad`) and outer
+/// (`key ⊕ opad`) key blocks: every HMAC under `key` starts from these
+/// two midstates.
+pub(crate) fn pad_midstates(key: &[u8]) -> [[u32; 8]; 2] {
+    let mut block_key = [0u8; 64];
+    if key.len() > 64 {
+        block_key[..DIGEST_SIZE].copy_from_slice(&Sha256::digest(key));
+    } else {
+        block_key[..key.len()].copy_from_slice(key);
+    }
+    let pad = |byte: u8| block_key.map(|k| k ^ byte);
+    let mut states = [crate::sha256::H0; 2];
+    crate::sha256::compress_lanes(&mut states, [&pad(0x36), &pad(0x5c)]);
+    states
 }
 
 /// HKDF-Extract (RFC 5869 §2.2).

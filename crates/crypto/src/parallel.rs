@@ -14,8 +14,10 @@
 /// idle: a scoped spawn+join cost 35–47 µs, about 100 KiB of AES-CTR or
 /// 15 KiB of Merkle hashing. Two workers beat inline hashing from about
 /// 256 KiB each; CTR is so fast that two workers only broke even at
-/// about 512 KiB each. When other tenants keep the second vCPU busy the
-/// crossover moves up, as the committed `BENCH_crypto.json` shows.
+/// about 512 KiB each. The crossover moves with the host: the committed
+/// `BENCH_crypto.json` has two Merkle workers winning from 128 KiB each
+/// and CTR never winning up to 3.39 MB, and a record taken when other
+/// tenants kept the second vCPU busy had Merkle win only at 3.39 MB.
 pub const MIN_BYTES_PER_THREAD: usize = 256 * 1024;
 
 /// Number of worker threads to use for `len` bytes of bulk crypto:
@@ -42,52 +44,9 @@ pub fn chunk_size(len: usize, workers: usize, align: usize) -> usize {
     units_per_worker * align
 }
 
-/// Splits `0..n` items into at most `workers` contiguous, non-empty
-/// ranges of near-equal length (earlier ranges take the remainder).
-/// Used to stripe Merkle leaf updates across scoped worker threads.
-#[must_use]
-pub fn split_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let base = n / workers;
-    let extra = n % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_ranges_cover_exactly_without_gaps() {
-        for n in [0usize, 1, 2, 7, 16, 1000, 4097] {
-            for workers in [1usize, 2, 3, 8, 64] {
-                let ranges = split_ranges(n, workers);
-                assert!(ranges.len() <= workers);
-                let mut cursor = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, cursor, "n={n} workers={workers}");
-                    assert!(!r.is_empty());
-                    cursor = r.end;
-                }
-                assert_eq!(cursor, n);
-                if n > 0 {
-                    let min = ranges.iter().map(|r| r.end - r.start).min().unwrap();
-                    let max = ranges.iter().map(|r| r.end - r.start).max().unwrap();
-                    assert!(max - min <= 1, "near-equal split");
-                }
-            }
-        }
-    }
 
     #[test]
     fn small_inputs_stay_inline() {

@@ -29,7 +29,7 @@ pub(crate) const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -68,6 +68,22 @@ impl Sha256 {
             buffer: [0; 64],
             buffer_len: 0,
             total_len: 0,
+        }
+    }
+
+    /// A hasher that has absorbed `absorbed` bytes (a whole number of
+    /// blocks) and reached `state` — a midstate, such as HMAC's after its
+    /// padded key block.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Sha256 {
+        debug_assert!(
+            absorbed.is_multiple_of(64),
+            "a midstate follows whole blocks"
+        );
+        Sha256 {
+            state,
+            buffer: [0; 64],
+            buffer_len: 0,
+            total_len: absorbed,
         }
     }
 
@@ -124,24 +140,46 @@ impl Sha256 {
         tail[n] = 0x80;
         tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         compress_blocks(&mut self.state, &tail[..len]);
-
-        let mut out = [0u8; DIGEST_SIZE];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_digest(&self.state)
     }
 }
 
-/// Compresses each whole 64-byte block of `blocks` into `state`: on
-/// SHA-NI when the CPU has it, otherwise [`compress_portable`].
+/// The digest a finished hash state stands for: its words, big-endian.
+pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_SIZE];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Compresses each whole 64-byte block of `blocks` into `state`.
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    compress_lanes(core::array::from_mut(state), [blocks]);
+}
+
+/// Compresses `N` independent messages at once: each whole 64-byte
+/// block of `blocks[l]` goes into `states[l]`, on SHA-NI when the CPU
+/// has it (one round loop for all lanes), otherwise
+/// [`compress_portable`] lane by lane.
+///
+/// # Panics
+///
+/// Panics if the lanes differ in length.
+#[inline]
+pub(crate) fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
+    assert!(
+        blocks.iter().all(|lane| lane.len() == blocks[0].len()),
+        "SHA-256 lanes differ in length"
+    );
     #[cfg(target_arch = "x86_64")]
-    if crate::hw::sha256_compress(state, blocks) {
+    if crate::hw::sha256_compress(states, blocks) {
         return;
     }
-    for block in blocks.chunks_exact(64) {
-        compress_portable(state, block);
+    for (state, lane) in states.iter_mut().zip(blocks) {
+        for block in lane.chunks_exact(64) {
+            compress_portable(state, block);
+        }
     }
 }
 

@@ -76,13 +76,8 @@ impl Device {
     ///
     /// [`FpgaError::FrameOutOfRange`] on out-of-bounds access.
     pub fn dram_read(&self, offset: usize, len: usize) -> Result<Vec<u8>, FpgaError> {
-        self.dram
-            .get(offset..offset + len)
-            .map(<[u8]>::to_vec)
-            .ok_or(FpgaError::FrameOutOfRange {
-                index: offset as u32,
-                limit: self.dram.len() as u32,
-            })
+        let range = self.dram_range(offset, len)?;
+        Ok(self.dram[range].to_vec())
     }
 
     /// Writes to on-board DRAM (see [`dram_read`](Device::dram_read)).
@@ -91,14 +86,8 @@ impl Device {
     ///
     /// [`FpgaError::FrameOutOfRange`] on out-of-bounds access.
     pub fn dram_write(&mut self, offset: usize, data: &[u8]) -> Result<(), FpgaError> {
-        let end = offset + data.len();
-        if end > self.dram.len() {
-            return Err(FpgaError::FrameOutOfRange {
-                index: offset as u32,
-                limit: self.dram.len() as u32,
-            });
-        }
-        self.dram[offset..end].copy_from_slice(data);
+        let range = self.dram_range(offset, data.len())?;
+        self.dram[range].copy_from_slice(data);
         if !data.is_empty() {
             if self.dram_log.len() == DRAM_WRITE_LOG_CAP {
                 self.dram_log.pop_front();
@@ -107,6 +96,20 @@ impl Device {
             self.dram_log.push_back((offset, data.len()));
         }
         Ok(())
+    }
+
+    /// The DRAM byte range `offset..offset + len`, if it lies inside
+    /// DRAM. Both come from the shell, so the end is computed without
+    /// overflow.
+    fn dram_range(&self, offset: usize, len: usize) -> Result<std::ops::Range<usize>, FpgaError> {
+        offset
+            .checked_add(len)
+            .filter(|&end| end <= self.dram.len())
+            .map(|end| offset..end)
+            .ok_or(FpgaError::FrameOutOfRange {
+                index: offset as u32,
+                limit: self.dram.len() as u32,
+            })
     }
 
     /// DRAM capacity in bytes.
@@ -518,6 +521,23 @@ mod tests {
         let len = d.dram_len();
         assert!(d.dram_write(len - 2, b"xyz").is_err());
         assert!(d.dram_read(len, 1).is_err());
+    }
+
+    #[test]
+    fn shell_dram_access_near_usize_max_is_refused() {
+        // `offset + len` overflows for every case: each must be an
+        // error, not an overflow or slice panic.
+        let shell = crate::shell::Shell::new(tiny_device());
+        for offset in [usize::MAX, usize::MAX - 1, usize::MAX - 3] {
+            assert!(shell.tamper_dram(offset, &[1, 2, 3, 4]).is_err());
+            assert!(shell.dma_write(offset, &[1, 2, 3, 4]).is_err());
+            assert!(shell.snoop_dram(offset, 4).is_err());
+            assert!(shell.dma_read(offset, 4).is_err());
+        }
+        assert!(shell.snoop_dram(1, usize::MAX).is_err());
+        assert!(shell.dma_read(usize::MAX, usize::MAX).is_err());
+        // Nothing refused was logged as a write.
+        assert_eq!(shell.device().lock().dram_write_seq(), 0);
     }
 
     #[test]
