@@ -80,7 +80,7 @@ pub fn integrity_key(data_key: &[u8; 32]) -> [u8; 32] {
 
 /// Computes the Merkle root authenticating `buffer`.
 ///
-/// One-shot convenience over the same [`SessionKeys`] derivation the
+/// One-shot convenience over the same `SessionKeys` derivation the
 /// controller and [`IntegrityPlan`] use — there is exactly one
 /// data-key → Merkle-key path, so a root computed here always matches
 /// a root computed by a session holding the same data key.

@@ -181,7 +181,6 @@ fn hetero_section() -> (Vec<serde_json::Value>, Vec<serde_json::Value>) {
     // held slots on every board.
     for device in 0..fleet.device_count() {
         for partition in (0..fleet.partitions_on(device)).step_by(2) {
-            use salus_core::platform::DeviceBroker;
             use salus_core::platform::SlotId;
             fleet
                 .lease_at(SlotId { device, partition }, TenantId(1))

@@ -2,7 +2,7 @@
 //! (Figure 9).
 //!
 //! The flow is implemented as a phase-granular state machine
-//! ([`BootMachine`], driven through [`secure_boot`]): client
+//! (`BootMachine`, driven through [`secure_boot`]): client
 //! RA request → user enclave quote → metadata transfer → local
 //! attestation → device-key distribution (with SM-enclave RA) →
 //! bitstream verify / manipulate / encrypt → shell deployment → CL

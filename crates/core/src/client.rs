@@ -13,7 +13,6 @@ use salus_tee::quote::{AttestationService, Quote};
 
 use crate::dev::BitstreamMetadata;
 use crate::keys::KeyData;
-use crate::platform::AttestationVerifier;
 use crate::ra::{RaEnvelope, RaVerifier};
 use crate::user_app::cascade_hash;
 use crate::SalusError;
@@ -91,8 +90,12 @@ impl UserClient {
         let challenge = self
             .initial_challenge
             .ok_or(SalusError::RemoteAttestationFailed("no RA in progress"))?;
-        self.attestation
-            .verify_binding(self.expected_user, quote, enclave_pub, &challenge)?;
+        RaVerifier::new(self.expected_user).verify(
+            &self.attestation,
+            quote,
+            enclave_pub,
+            &challenge,
+        )?;
         self.enclave_pub = Some(*enclave_pub);
 
         let final_challenge: [u8; 32] = self.drbg.generate_array();
@@ -119,9 +122,12 @@ impl UserClient {
         let enclave_pub = self
             .enclave_pub
             .ok_or(SalusError::CascadeReportInvalid("no prior RA"))?;
-        let extra =
-            self.attestation
-                .verify_binding(self.expected_user, quote, &enclave_pub, &challenge)?;
+        let extra = RaVerifier::new(self.expected_user).verify(
+            &self.attestation,
+            quote,
+            &enclave_pub,
+            &challenge,
+        )?;
 
         let expected = cascade_hash(&self.expected_sm, &self.metadata.digest);
         if extra != expected {

@@ -6,7 +6,7 @@
 //! Construction goes through [`TestBedBuilder`]: the legacy presets
 //! ([`TestBed::quick_demo`] / [`TestBed::paper_scale`]) build a private
 //! single-tenant world, while the platform control plane passes a
-//! [`SharedPlatform`](crate::platform::SharedPlatform), a leased fleet
+//! [`SharedPlatform`], a leased fleet
 //! device, and per-tenant [`EndpointNames`] so many beds coexist on one
 //! fabric.
 

@@ -16,7 +16,6 @@ use salus_tee::measurement::Measurement;
 use salus_tee::quote::{AttestationService, Quote};
 
 use crate::keys::KeyDevice;
-use crate::platform::AttestationVerifier;
 use crate::ra::{RaEnvelope, RaVerifier};
 use crate::SalusError;
 
@@ -110,8 +109,8 @@ impl Manufacturer {
             .key_db
             .get(&dna)
             .ok_or(SalusError::KeyDistributionRefused("unknown device"))?;
-        self.attestation.verify_binding(
-            self.expected_sm_enclave,
+        RaVerifier::new(self.expected_sm_enclave).verify(
+            &self.attestation,
             quote,
             enclave_pub,
             &challenge,

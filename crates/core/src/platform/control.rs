@@ -17,10 +17,11 @@
 //! [`secure_boot`] under a [`DeployPolicy`]: per-step retries
 //! with backoff inside one boot, and — when a boot still fails on a
 //! [`FaultClass::Transient`] error — cross-board failover: the lease is
-//! released, the board is charged a [`DeviceHealth`] failure, and the
-//! scheduler re-places on a *different* board (the failed ones join the
-//! `avoid` set). Boards that keep failing are quarantined and skipped
-//! fleet-wide until a seeded cool-down probationally re-admits them.
+//! released, the board is charged a health failure in the [`Ledger`],
+//! and the scheduler re-places on a *different* board (the failed ones
+//! join the `avoid` set). Boards that keep failing are quarantined and
+//! skipped fleet-wide until a seeded cool-down probationally re-admits
+//! them.
 //! A manufacturer outage degrades to a [`DeploySuspension`]: the slot
 //! stays leased and [`resume_deploy`](ControlPlane::resume_deploy)
 //! finishes the boot without losing any completed work. Deploy, resume
@@ -36,12 +37,13 @@
 //! ([`crash_tick`](ControlPlane::install_crash_plane) points), after
 //! which [`ControlPlane::crash`] hands over what durably survives —
 //! journal, audit log, parked ciphertexts, the boards themselves — and
-//! [`ControlPlane::recover`] rebuilds a fresh plane: committed intents
-//! are replayed, open ones rolled back (or forward when their effects
-//! are durably present), occupancy is re-leased and reconciled against
+//! [`ControlPlane::recover`] rebuilds a fresh plane: open intents are
+//! rolled back (or forward when their effects are durably present),
+//! the settled journal is folded through the [`Ledger`] rule the live
+//! plane charges by, occupancy is re-leased and reconciled against
 //! actual board configuration state, orphaned lanes are fenced through
 //! the `SessionFenced` audit path, and boards contradicting the
-//! journal are charged through the health machinery.
+//! journal are fenced through a committed `Fence` op.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -64,12 +66,11 @@ use crate::{FaultClass, PlaceError, SalusError};
 use super::audit::{AuditEvent, AuditLog};
 use super::fleet::{
     DeployPath, DeviceFleet, DeviceId, DeviceLease, DramWindow, SlotId, TenantId, TenantRecord,
-    TenantRegistry,
 };
-use super::health::{DeviceHealth, DeviceHealthRecord, HealthPolicy, HealthState};
+use super::health::{DeviceHealthRecord, HealthPolicy, HealthState};
 use super::journal::{AbortKind, IntentOp, Journal, JournalEntry, OpId};
+use super::ledger::{Ledger, Settlement};
 use super::scheduler::{PlacePolicy, PlaceRequest, Scheduler};
-use super::traits::DeviceBroker;
 use super::SharedPlatform;
 
 /// Configuration of one platform node.
@@ -168,6 +169,15 @@ impl PlatformConfig {
     /// Total boards the spec provisions.
     pub fn board_count(&self) -> usize {
         self.devices + self.extra_boards.iter().map(|(_, n)| n).sum::<usize>()
+    }
+
+    /// The empty ledger a fresh or recovering plane starts from.
+    fn fresh_ledger(&self) -> Ledger {
+        Ledger::new(
+            self.board_count(),
+            self.seed.wrapping_mul(0x9E37_79B9),
+            self.health,
+        )
     }
 
     /// Replaces the device-health policy (builder-style).
@@ -462,8 +472,8 @@ pub struct FleetSnapshot {
 /// themselves (their configuration state is ground truth), the shared
 /// platform (clock, fabric, manufacturer), and any tenant-held objects
 /// the crash caught before consuming them. Everything else — in-memory
-/// occupancy, registry, health tracker, scheduler — dies with the
-/// process and is rebuilt by [`ControlPlane::recover`].
+/// occupancy, ledger, scheduler — dies with the process and is rebuilt
+/// by [`ControlPlane::recover`].
 pub struct CrashRemains {
     config: PlatformConfig,
     shared: SharedPlatform,
@@ -525,8 +535,9 @@ pub struct RecoveryReport {
     /// death is not the board's fault.
     pub fenced_orphans: Vec<SlotId>,
     /// Slots the journal claims are running but whose partition the
-    /// board reports unconfigured: fenced, and the board charged a
-    /// health failure (its state contradicts the durable record).
+    /// board reports unconfigured: fenced through a committed `Fence`
+    /// op, which charges the board a health failure (its state
+    /// contradicts the durable record).
     pub contradictions: Vec<SlotId>,
     /// Deployments the crash caught in the tenant process before the
     /// control plane consumed them (e.g. an evict that died at its
@@ -542,9 +553,8 @@ pub struct ControlPlane {
     shared: SharedPlatform,
     fleet: Mutex<DeviceFleet>,
     scheduler: Scheduler,
-    registry: Mutex<TenantRegistry>,
+    ledger: Mutex<Ledger>,
     parked: Mutex<HashMap<TenantId, ParkedDeployment>>,
-    health: Mutex<DeviceHealth>,
     audit: Mutex<AuditLog>,
     journal: Mutex<Journal>,
     crash: Mutex<CrashPlane>,
@@ -562,7 +572,7 @@ impl std::fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlane")
             .field("devices", &self.config.board_count())
-            .field("tenants", &self.registry.lock().len())
+            .field("tenants", &self.ledger.lock().tenants().len())
             .finish_non_exhaustive()
     }
 }
@@ -585,18 +595,12 @@ impl ControlPlane {
         // The key service answers RPC on the shared fabric too, for
         // parties that reach it over the wire rather than in-process.
         crate::services::serve_manufacturer(&shared.fabric, shared.manufacturer.clone());
-        let health = DeviceHealth::new(
-            config.board_count(),
-            config.seed.wrapping_mul(0x9E37_79B9),
-            config.health,
-        );
         Ok(ControlPlane {
             shared,
             fleet: Mutex::new(fleet),
             scheduler: Scheduler::new(config.policy),
-            registry: Mutex::new(TenantRegistry::new()),
+            ledger: Mutex::new(config.fresh_ledger()),
             parked: Mutex::new(HashMap::new()),
-            health: Mutex::new(health),
             audit: Mutex::new(AuditLog::new()),
             journal: Mutex::new(Journal::new()),
             crash: Mutex::new(CrashPlane::inert()),
@@ -643,7 +647,7 @@ impl ControlPlane {
 
     /// Currently free slots.
     pub fn free_slots(&self) -> usize {
-        DeviceBroker::free_slots(&*self.fleet.lock())
+        self.fleet.lock().free_slots()
     }
 
     /// True DNAs of the fleet boards, in device order.
@@ -675,7 +679,10 @@ impl ControlPlane {
 
     /// Per-board health entries at the current virtual time.
     pub fn device_health(&self) -> Vec<DeviceHealthRecord> {
-        self.health.lock().snapshot(self.shared.clock.now())
+        self.ledger
+            .lock()
+            .health()
+            .snapshot(self.shared.clock.now())
     }
 
     /// Appends `event` to the audit chain at the current virtual time
@@ -749,27 +756,16 @@ impl ControlPlane {
             .suspend(self.shared.clock.now(), op, step);
     }
 
-    /// Records a boot success or failure on `device` and audits the
-    /// resulting admission-state transition (if any).
-    fn record_health(&self, device: DeviceId, failed: bool) -> HealthState {
+    /// Charges `action`'s settlement to the ledger at the current
+    /// virtual time and audits the board transition it caused, if any.
+    fn charge(&self, action: &IntentOp, settlement: Settlement) {
         let now = self.shared.clock.now();
-        let (before, after) = {
-            let mut health = self.health.lock();
-            let before = health.state(device, now);
-            if failed {
-                health.record_failure(device, now);
-            } else {
-                health.record_success(device, now);
-            }
-            (before, health.state(device, now))
-        };
-        if after != before {
-            self.audit_append(AuditEvent::HealthTransition {
-                device,
-                state: after,
-            });
+        // `apply` refuses only a registration under a foreign id, and
+        // `register_tenant` applies its own.
+        let transition = self.ledger.lock().apply(action, settlement, now);
+        if let Ok(Some((device, state))) = transition {
+            self.audit_append(AuditEvent::HealthTransition { device, state });
         }
-        after
     }
 
     /// Fences `tenant`'s running deployment on `slot` after a failed
@@ -787,7 +783,8 @@ impl ControlPlane {
         tenant: TenantId,
         slot: SlotId,
     ) -> Result<HealthState, SalusError> {
-        let op = self.journal_begin(IntentOp::Fence { tenant, slot });
+        let action = IntentOp::Fence { tenant, slot };
+        let op = self.journal_begin(action.clone());
         if self.crash_tick("fence.intent") {
             return Err(SalusError::CrashInjected("process crash at fence.intent"));
         }
@@ -802,7 +799,9 @@ impl ControlPlane {
             ));
         }
         self.journal_commit(op, None, Duration::ZERO);
-        Ok(self.charge_failure(tenant, slot.device))
+        self.charge(&action, Settlement::DONE);
+        let now = self.shared.clock.now();
+        Ok(self.ledger.lock().health().state(slot.device, now))
     }
 
     /// Fleet-wide monitoring snapshot (occupancy, key cache, parked
@@ -812,7 +811,7 @@ impl ControlPlane {
         let (free_slots, total_slots, occupancy, keyed_devices) = {
             let fleet = self.fleet.lock();
             (
-                DeviceBroker::free_slots(&*fleet),
+                fleet.free_slots(),
                 fleet.total_slots(),
                 fleet.occupancy(),
                 (0..fleet.device_count())
@@ -827,6 +826,10 @@ impl ControlPlane {
             .map(|(t, p)| (*t, p.slot))
             .collect();
         parked.sort_by_key(|(t, _)| *t);
+        let (health, tenants) = {
+            let ledger = self.ledger.lock();
+            (ledger.health().snapshot(now), ledger.tenants().to_vec())
+        };
         FleetSnapshot {
             now,
             free_slots,
@@ -834,8 +837,8 @@ impl ControlPlane {
             occupancy,
             keyed_devices,
             parked,
-            health: self.health.lock().snapshot(now),
-            tenants: self.registry.lock().records(),
+            health,
+            tenants,
             audit_head: self.audit.lock().head(),
             journal_head: self.journal.lock().head(),
         }
@@ -846,32 +849,27 @@ impl ControlPlane {
     ///
     /// The registration is journaled (intent and commit written
     /// adjacently — it is not a multi-step mutation, so it exposes no
-    /// crash point) so recovery can rebuild the registry with the
+    /// crash point) so recovery can rebuild the tenant records with the
     /// exact same ids and seeds.
     pub fn register_tenant(&self, name: &str) -> TenantId {
-        let mut registry = self.registry.lock();
-        let seed = self
-            .config
-            .seed
-            .wrapping_add(7_919 * (registry.len() as u64 + 1));
-        let tenant = registry.register(name, seed);
+        let mut ledger = self.ledger.lock();
+        let tenant = ledger.next_tenant();
+        let seed = self.config.seed.wrapping_add(7_919 * (tenant.0 + 1));
+        let action = IntentOp::Register {
+            tenant,
+            name: name.to_owned(),
+            seed,
+        };
         let now = self.shared.clock.now();
-        let mut journal = self.journal.lock();
-        let op = journal.begin(
-            now,
-            IntentOp::Register {
-                tenant,
-                name: name.to_owned(),
-                seed,
-            },
-        );
-        journal.commit(now, op, None, Duration::ZERO);
+        self.journal.lock().commit_adjacent(now, action.clone());
+        let registered = ledger.apply(&action, Settlement::DONE, now);
+        debug_assert!(registered.is_ok(), "the id came from this ledger");
         tenant
     }
 
     /// The bookkeeping record for `tenant`.
     pub fn tenant_record(&self, tenant: TenantId) -> Option<TenantRecord> {
-        self.registry.lock().get(tenant).cloned()
+        self.ledger.lock().tenant(tenant).cloned()
     }
 
     /// Whether `tenant` has a parked (evicted) deployment.
@@ -899,7 +897,7 @@ impl ControlPlane {
         accelerator: Module,
         policy: DeployPolicy,
     ) -> Result<TenantDeployment, DeployFailure> {
-        let seed = match self.registry.lock().get(tenant) {
+        let seed = match self.ledger.lock().tenant(tenant) {
             Some(record) => record.seed,
             None => {
                 return Err(DeployFailure::Rejected(SalusError::Scheduler(
@@ -915,14 +913,17 @@ impl ControlPlane {
         let mut attempts: Vec<DeployAttempt> = Vec::new();
         loop {
             let now = self.shared.clock.now();
-            let mut avoid = self.health.lock().quarantined(now);
+            let mut avoid = self.ledger.lock().health().quarantined(now);
             avoid.extend(tried.iter().copied());
             let (lease, cached) = match self.place_and_lease(tenant, &policy.request, None, &avoid)
             {
                 Ok(v) => v,
                 Err(e) => {
                     if e == SalusError::Place(PlaceError::IncompatibleFamily) {
-                        self.registry.lock().record_failed_deploy(tenant);
+                        let action = IntentOp::Refuse { tenant };
+                        let now = self.shared.clock.now();
+                        self.journal.lock().commit_adjacent(now, action.clone());
+                        self.charge(&action, Settlement::DONE);
                     }
                     // No admissible board left: surface the last boot
                     // error when boots ran, the scheduler error when
@@ -936,10 +937,11 @@ impl ControlPlane {
                     });
                 }
             };
-            let op = self.journal_begin(IntentOp::Deploy {
+            let action = IntentOp::Deploy {
                 tenant,
                 slot: lease.slot,
-            });
+            };
+            let op = self.journal_begin(action.clone());
             if self.crash_tick("deploy.intent") {
                 return Err(DeployFailure::Rejected(SalusError::CrashInjected(
                     "process crash at deploy.intent",
@@ -959,7 +961,7 @@ impl ControlPlane {
                 warm,
                 attempts,
             };
-            match self.settle_boot(op, true, placement, result) {
+            match self.settle_boot(op, &action, placement, result) {
                 Err(DeployFailure::Failed {
                     error,
                     attempts: trail,
@@ -987,10 +989,11 @@ impl ControlPlane {
         &self,
         suspended: DeploySuspension,
     ) -> Result<TenantDeployment, DeployFailure> {
-        let op = self.journal_begin(IntentOp::Resume {
+        let action = IntentOp::Resume {
             tenant: suspended.placement.tenant,
             slot: suspended.placement.lease.slot,
-        });
+        };
+        let op = self.journal_begin(action.clone());
         if self.crash_tick("resume.intent") {
             // The suspension lives in the tenant process: park it for
             // the recovery report so the tenant can resume again on the
@@ -1005,7 +1008,7 @@ impl ControlPlane {
             suspension,
         } = suspended;
         let result = suspension.resume(&mut placement.bed);
-        self.settle_boot(op, false, placement, result)
+        self.settle_boot(op, &action, placement, result)
     }
 
     /// Gives up on a suspended deploy: releases the held lease, audits
@@ -1016,7 +1019,8 @@ impl ControlPlane {
     pub fn abandon_deploy(&self, suspended: DeploySuspension) -> SalusError {
         let tenant = suspended.placement.tenant;
         let slot = suspended.placement.lease.slot;
-        let op = self.journal_begin(IntentOp::Abandon { tenant, slot });
+        let action = IntentOp::Abandon { tenant, slot };
+        let op = self.journal_begin(action.clone());
         if self.crash_tick("abandon.intent") {
             self.survivor_suspensions.lock().push(suspended);
             return SalusError::CrashInjected("process crash at abandon.intent");
@@ -1030,7 +1034,7 @@ impl ControlPlane {
             return SalusError::CrashInjected("process crash at abandon.pre-commit");
         }
         self.journal_commit(op, None, Duration::ZERO);
-        self.registry.lock().record_failed_deploy(tenant);
+        self.charge(&action, Settlement::DONE);
         error
     }
 
@@ -1052,8 +1056,7 @@ impl ControlPlane {
                 .place_constrained(&fleet, request, affinity, avoid)
                 .and_then(|slot| {
                     let cached = fleet.cached_key(slot.device);
-                    let broker: &mut dyn DeviceBroker = &mut *fleet;
-                    broker.lease_at(slot, tenant).map(|lease| (lease, cached))
+                    fleet.lease_at(slot, tenant).map(|lease| (lease, cached))
                 })
         };
         if let Err(e) = &placed {
@@ -1098,15 +1101,16 @@ impl ControlPlane {
     /// Settles one placement's boot: a finished boot is committed, a
     /// suspended one parked with its lease held, a failed one aborted
     /// and charged (lease released, the attempt appended to the trail).
-    /// A `fresh` deploy ticks its `deploy.pre-commit` and `deploy.abort`
+    /// A fresh deploy ticks its `deploy.pre-commit` and `deploy.abort`
     /// crash points here; a resume has none.
     fn settle_boot(
         &self,
         op: OpId,
-        fresh: bool,
+        action: &IntentOp,
         placement: Placement,
         result: Result<BootOutcome, BootFailure>,
     ) -> Result<TenantDeployment, DeployFailure> {
+        let fresh = matches!(action, IntentOp::Deploy { .. });
         match result {
             Ok(outcome) => {
                 let Placement {
@@ -1146,7 +1150,7 @@ impl ControlPlane {
                     },
                     attempts: attempts.len() as u32 + 1,
                 };
-                self.commit_deployment(op, &deployment);
+                self.commit_deployment(op, action, &deployment);
                 Ok(deployment)
             }
             Err(BootFailure::Suspended(suspension)) => {
@@ -1179,7 +1183,7 @@ impl ControlPlane {
                         "process crash at deploy.abort",
                     )));
                 }
-                self.charge_failure(tenant, lease.slot.device);
+                self.charge(action, Settlement::Aborted(AbortKind::Failed));
                 attempts.push(DeployAttempt {
                     slot: lease.slot,
                     step: fatal.step,
@@ -1194,16 +1198,18 @@ impl ControlPlane {
         }
     }
 
-    /// Commits a booted placement: charges the board a success, audits
-    /// the deploy, commits `op` (the linearization point) and records
-    /// the deploy on the tenant.
-    fn commit_deployment(&self, op: OpId, deployment: &TenantDeployment) {
+    /// Commits a booted placement: charges the settlement, audits the
+    /// deploy and commits `op` (the linearization point).
+    fn commit_deployment(&self, op: OpId, action: &IntentOp, deployment: &TenantDeployment) {
         let (tenant, slot, path) = (deployment.tenant, deployment.slot, deployment.path);
         let elapsed = deployment.outcome.breakdown.total();
-        self.record_health(slot.device, false);
+        let settlement = Settlement::Committed {
+            path: Some(path),
+            elapsed,
+        };
+        self.charge(action, settlement);
         self.audit_append(AuditEvent::Deploy { tenant, slot, path });
         self.journal_commit(op, Some(path), elapsed);
-        self.registry.lock().record_deploy(tenant, path, elapsed);
     }
 
     /// Aborts placement `op` after a failed boot: releases the lease,
@@ -1218,19 +1224,9 @@ impl ControlPlane {
         self.journal_abort(op, &error.to_string(), AbortKind::Failed);
     }
 
-    /// Charges a failure to `device`'s health and to `tenant`'s record;
-    /// returns the board's resulting admission state.
-    fn charge_failure(&self, tenant: TenantId, device: DeviceId) -> HealthState {
-        let state = self.record_health(device, true);
-        self.registry.lock().record_failed_deploy(tenant);
-        state
-    }
-
     /// Releases the lease on `slot`.
     fn release(&self, slot: SlotId) -> Result<TenantId, SalusError> {
-        let mut fleet = self.fleet.lock();
-        let broker: &mut dyn DeviceBroker = &mut *fleet;
-        broker.release(slot)
+        self.fleet.lock().release(slot)
     }
 
     /// Evicts a deployment: parks the bed together with its
@@ -1248,7 +1244,8 @@ impl ControlPlane {
         }
         let tenant = deployment.tenant;
         let slot = deployment.slot;
-        let op = self.journal_begin(IntentOp::Evict { tenant, slot });
+        let action = IntentOp::Evict { tenant, slot };
+        let op = self.journal_begin(action.clone());
         if self.crash_tick("evict.intent") {
             // Nothing happened yet; the deployment survives in the
             // tenant process and comes back through the recovery
@@ -1286,7 +1283,7 @@ impl ControlPlane {
             ));
         }
         self.journal_commit(op, None, Duration::ZERO);
-        self.registry.lock().record_eviction(tenant);
+        self.charge(&action, Settlement::DONE);
         Ok(tenant)
     }
 
@@ -1317,7 +1314,11 @@ impl ControlPlane {
                 .ok_or(SalusError::Scheduler("no parked deployment"))?;
             (p.slot, p.family)
         };
-        let quarantined = self.health.lock().quarantined(self.shared.clock.now());
+        let quarantined = self
+            .ledger
+            .lock()
+            .health()
+            .quarantined(self.shared.clock.now());
         // Affinity is family-checked: the parked ciphertext only ever
         // reloads onto the framing it was compiled for.
         let (lease, _) = self.place_and_lease(
@@ -1326,10 +1327,11 @@ impl ControlPlane {
             Some(parked_slot),
             &quarantined,
         )?;
-        let op = self.journal_begin(IntentOp::Redeploy {
+        let action = IntentOp::Redeploy {
             tenant,
             slot: lease.slot,
-        });
+        };
+        let op = self.journal_begin(action.clone());
         if self.crash_tick("redeploy.intent") {
             // The lease dies with the process; the ciphertext is still
             // parked, so recovery rolls the intent back and the driver
@@ -1363,13 +1365,13 @@ impl ControlPlane {
                     path: DeployPath::WarmImage,
                     attempts: 1,
                 };
-                self.commit_deployment(op, &deployment);
+                self.commit_deployment(op, &action, &deployment);
                 Ok(deployment)
             }
             Err(failure) => {
                 let error = SalusError::from(failure);
                 self.abort_placement(op, tenant, lease.slot, &error);
-                self.charge_failure(tenant, lease.slot.device);
+                self.charge(&action, Settlement::Aborted(AbortKind::Failed));
                 if error.is_transient() {
                     // The ciphertext never reached the board; keep it
                     // parked so the tenant retains the warm-image path.
@@ -1387,9 +1389,9 @@ impl ControlPlane {
     /// hands back only what durably survives one. The journal, audit
     /// chain, and parked-ciphertext store are persistent; the boards
     /// (and their loaded bitstreams) are physical; the shared platform
-    /// outlives any one controller. The registry, health tracker,
-    /// scheduler, in-memory occupancy, and crash plane die here —
-    /// [`ControlPlane::recover`] must rebuild them from the remains.
+    /// outlives any one controller. The ledger, scheduler, in-memory
+    /// occupancy, and crash plane die here — [`ControlPlane::recover`]
+    /// must rebuild them from the remains.
     ///
     /// Tenant-held objects stashed by a crash tick (an evict's
     /// deployment, a resume's suspension) ride along so the recovery
@@ -1407,33 +1409,11 @@ impl ControlPlane {
         }
     }
 
-    /// Rebuilds a control plane from what a crash left behind.
-    ///
-    /// 1. **Verify** the journal and audit chain end-to-end (any forged,
-    ///    reordered, or truncated record fails recovery closed).
-    /// 2. **Replay** every committed intent in record order against a
-    ///    fresh registry and health tracker: registrations re-register
-    ///    (ids must match the journaled ones), deploy commits re-charge
-    ///    tenant records and board health successes, evictions/fences/
-    ///    abandons re-charge their counters, failed aborts re-charge
-    ///    health failures. Occupancy is derived last-writer-wins per
-    ///    slot.
-    /// 3. **Settle** open intents: rolled back by default (the crash
-    ///    interrupted them mid-flight), rolled *forward* when their
-    ///    effects are durably present — an evict whose ciphertext
-    ///    reached the parked store, an abandon whose suspension was
-    ///    consumed. Suspended ops stay open: their slot reservation is
-    ///    the whole point of suspension.
-    /// 4. **Reconcile** against the boards: every journal-held slot is
-    ///    re-leased; a running slot whose partition the board reports
-    ///    unconfigured contradicts the durable record — it is fenced
-    ///    and the board charged a health failure. Rolled-back deploys
-    ///    whose boot *did* reach the board leave an orphaned lane:
-    ///    fenced via `SessionFenced`, but with no health charge (a
-    ///    controller death is not the board's fault).
-    /// 5. Cached device keys without a cold-path commit backing them
-    ///    are dropped, so a re-driven deploy cannot silently diverge
-    ///    onto the warm-key path.
+    /// Rebuilds a control plane from what a crash left behind: verify
+    /// both logs (a forged, reordered or truncated record fails recovery
+    /// closed), settle the open intents, fold the settled journal through
+    /// [`Ledger::apply`] — the rule the live plane charges by — and
+    /// reconcile the occupancy derived beside it against the boards.
     ///
     /// # Errors
     ///
@@ -1457,194 +1437,139 @@ impl ControlPlane {
         audit.verify()?;
 
         let now = shared.clock.now();
-        let mut registry = TenantRegistry::new();
-        let mut health = DeviceHealth::new(
-            config.board_count(),
-            config.seed.wrapping_mul(0x9E37_79B9),
-            config.health,
-        );
+        let replayed = journal
+            .records()
+            .iter()
+            .filter(|r| matches!(r.entry, JournalEntry::Commit { .. }))
+            .count() as u64;
 
+        // Pass 1: settle open, non-suspended intents. Rollback is the
+        // default; roll forward only on durable evidence the effects
+        // happened.
+        let mut rolled_back: u64 = 0;
+        let mut rolled_forward: u64 = 0;
+        let mut rolled_back_deploys: Vec<(TenantId, SlotId)> = Vec::new();
+        for open in journal.open_ops() {
+            if open.suspended {
+                continue;
+            }
+            let (forward, reason) = match open.action {
+                // Single-step ops commit adjacently; an open one can
+                // only mean a forged journal.
+                IntentOp::Register { .. } | IntentOp::Refuse { .. } => {
+                    (false, "crash before commit")
+                }
+                IntentOp::Deploy { tenant, slot } => {
+                    rolled_back_deploys.push((tenant, slot));
+                    (false, "crash during deploy")
+                }
+                // The ciphertext is either still parked (pre-boot crash)
+                // or re-parked by the pre-commit tick: the warm-image
+                // path survives, so plain rollback.
+                IntentOp::Redeploy { .. } => (false, "crash during redeploy"),
+                // The suspension survives in the tenant process and the
+                // original deploy op still reserves the slot.
+                IntentOp::Resume { .. } => (false, "crash during resume"),
+                // Forward when the ciphertext reached the durable parked
+                // store; otherwise the deployment survives in the tenant
+                // process and the slot stays held for it.
+                IntentOp::Evict { tenant, slot } => (
+                    parked.get(&tenant).map(|p| p.slot) == Some(slot),
+                    "crash during evict",
+                ),
+                // The driver that wanted the fence re-issues it against
+                // the recovered plane.
+                IntentOp::Fence { .. } => (false, "crash during fence"),
+                // Back when the suspension is intact in the tenant
+                // process (a crash at the intent point); forward when it
+                // was consumed and the abandon audited.
+                IntentOp::Abandon { tenant, slot } => (
+                    !survivor_suspensions
+                        .iter()
+                        .any(|s| s.tenant() == tenant && s.slot() == slot),
+                    "crash during abandon",
+                ),
+            };
+            if forward {
+                journal.commit(now, open.op, None, Duration::ZERO);
+                rolled_forward += 1;
+            } else {
+                journal.abort(now, open.op, reason, AbortKind::RolledBack);
+                rolled_back += 1;
+            }
+        }
+
+        // Pass 2: fold the settled journal. Charges go through the
+        // ledger; occupancy is last-writer-wins per slot.
         #[derive(Clone, Copy, PartialEq)]
         enum Held {
             Running,
             Suspended,
         }
-
-        // Pass 1: replay the journal. Occupancy is last-writer-wins per
-        // slot; charges follow the same calls the live plane made.
+        let mut ledger = config.fresh_ledger();
         let mut actions: HashMap<OpId, IntentOp> = HashMap::new();
         let mut occupancy: HashMap<SlotId, (TenantId, Held)> = HashMap::new();
         let mut cold_committed: HashSet<DeviceId> = HashSet::new();
         let mut committed_on_slot: HashSet<SlotId> = HashSet::new();
-        let mut replayed: u64 = 0;
         for record in journal.records() {
-            match &record.entry {
-                JournalEntry::Intent { op, action } => {
-                    match action {
-                        IntentOp::Deploy { tenant, slot } | IntentOp::Redeploy { tenant, slot } => {
-                            occupancy.insert(*slot, (*tenant, Held::Running));
-                        }
-                        _ => {}
-                    }
-                    actions.insert(*op, action.clone());
+            let op = record.entry.op();
+            if let JournalEntry::Intent { action, .. } = &record.entry {
+                if let IntentOp::Deploy { tenant, slot } | IntentOp::Redeploy { tenant, slot } =
+                    action
+                {
+                    occupancy.insert(*slot, (*tenant, Held::Running));
                 }
-                JournalEntry::Suspend { op, .. } => {
-                    let action = actions
-                        .get(op)
-                        .ok_or(SalusError::RecoveryFailed("suspend references unknown op"))?;
+                actions.insert(op, action.clone());
+                continue;
+            }
+            let action = actions
+                .get(&op)
+                .ok_or(SalusError::RecoveryFailed("record references unknown op"))?;
+            let settlement = match &record.entry {
+                JournalEntry::Commit { path, elapsed, .. } => Settlement::Committed {
+                    path: *path,
+                    elapsed: *elapsed,
+                },
+                JournalEntry::Abort { kind, .. } => Settlement::Aborted(*kind),
+                _ => {
                     if let Some(slot) = action.slot() {
                         occupancy.insert(slot, (action.tenant(), Held::Suspended));
                     }
+                    continue;
                 }
-                JournalEntry::Commit { op, path, elapsed } => {
-                    let action = actions
-                        .get(op)
-                        .cloned()
-                        .ok_or(SalusError::RecoveryFailed("commit references unknown op"))?;
-                    replayed += 1;
-                    match action {
-                        IntentOp::Register { tenant, name, seed } => {
-                            if registry.register(&name, seed) != tenant {
-                                return Err(SalusError::RecoveryFailed(
-                                    "tenant id diverged during registry replay",
-                                ));
-                            }
-                        }
-                        IntentOp::Deploy { tenant, slot }
-                        | IntentOp::Resume { tenant, slot }
-                        | IntentOp::Redeploy { tenant, slot } => {
-                            occupancy.insert(slot, (tenant, Held::Running));
-                            committed_on_slot.insert(slot);
-                            if let Some(p) = path {
-                                registry.record_deploy(tenant, *p, *elapsed);
-                                if *p == DeployPath::Cold {
-                                    cold_committed.insert(slot.device);
-                                }
-                            }
-                            health.record_success(slot.device, record.at);
-                        }
-                        IntentOp::Evict { tenant, slot } => {
-                            occupancy.remove(&slot);
-                            registry.record_eviction(tenant);
-                        }
-                        IntentOp::Fence { tenant, slot } => {
-                            occupancy.remove(&slot);
-                            registry.record_failed_deploy(tenant);
-                            let _ = health.record_failure(slot.device, record.at);
-                        }
-                        IntentOp::Abandon { tenant, slot } => {
-                            occupancy.remove(&slot);
-                            registry.record_failed_deploy(tenant);
-                        }
+            };
+            match (action, settlement) {
+                (
+                    IntentOp::Deploy { tenant, slot }
+                    | IntentOp::Resume { tenant, slot }
+                    | IntentOp::Redeploy { tenant, slot },
+                    Settlement::Committed { path, .. },
+                ) => {
+                    occupancy.insert(*slot, (*tenant, Held::Running));
+                    committed_on_slot.insert(*slot);
+                    if path == Some(DeployPath::Cold) {
+                        cold_committed.insert(slot.device);
                     }
                 }
-                JournalEntry::Abort { op, kind, .. } => {
-                    let action = actions
-                        .get(op)
-                        .cloned()
-                        .ok_or(SalusError::RecoveryFailed("abort references unknown op"))?;
-                    match action {
-                        IntentOp::Deploy { tenant, slot } | IntentOp::Redeploy { tenant, slot } => {
-                            occupancy.remove(&slot);
-                            if *kind == AbortKind::Failed {
-                                registry.record_failed_deploy(tenant);
-                                let _ = health.record_failure(slot.device, record.at);
-                            }
-                        }
-                        // A failed resume released the lease; a
-                        // rolled-back one left the suspension (and its
-                        // slot reservation) in place.
-                        IntentOp::Resume { tenant, slot } if *kind == AbortKind::Failed => {
-                            occupancy.remove(&slot);
-                            registry.record_failed_deploy(tenant);
-                            let _ = health.record_failure(slot.device, record.at);
-                        }
-                        _ => {}
-                    }
+                (
+                    IntentOp::Evict { slot, .. }
+                    | IntentOp::Fence { slot, .. }
+                    | IntentOp::Abandon { slot, .. },
+                    Settlement::Committed { .. },
+                )
+                | (
+                    IntentOp::Deploy { slot, .. } | IntentOp::Redeploy { slot, .. },
+                    Settlement::Aborted(_),
+                )
+                // A failed resume released the lease; a rolled-back one
+                // left the suspension (and its slot reservation) in
+                // place.
+                | (IntentOp::Resume { slot, .. }, Settlement::Aborted(AbortKind::Failed)) => {
+                    occupancy.remove(slot);
                 }
+                _ => {}
             }
-        }
-
-        // Pass 2: settle open, non-suspended intents. Rollback is the
-        // default; roll forward only on durable evidence the effects
-        // happened.
-        let mut rolled_back: u64 = 0;
-        let mut rolled_forward: u64 = 0;
-        let mut orphan_candidates: Vec<(TenantId, SlotId)> = Vec::new();
-        for open in journal.open_ops() {
-            if open.suspended {
-                continue;
-            }
-            match open.action {
-                IntentOp::Register { .. } => {
-                    // Registrations commit adjacently; an open one can
-                    // only mean a forged journal — roll it back.
-                    journal.abort(now, open.op, "crash before commit", AbortKind::RolledBack);
-                    rolled_back += 1;
-                }
-                IntentOp::Deploy { tenant, slot } => {
-                    journal.abort(now, open.op, "crash during deploy", AbortKind::RolledBack);
-                    rolled_back += 1;
-                    occupancy.remove(&slot);
-                    if !committed_on_slot.contains(&slot) {
-                        orphan_candidates.push((tenant, slot));
-                    }
-                }
-                IntentOp::Redeploy { tenant: _, slot } => {
-                    // The ciphertext is either still parked (pre-boot
-                    // crash) or re-parked by the pre-commit tick: the
-                    // warm-image path survives, so plain rollback.
-                    journal.abort(now, open.op, "crash during redeploy", AbortKind::RolledBack);
-                    rolled_back += 1;
-                    occupancy.remove(&slot);
-                }
-                IntentOp::Resume { .. } => {
-                    // The suspension survives in the tenant process and
-                    // the original deploy op still reserves the slot.
-                    journal.abort(now, open.op, "crash during resume", AbortKind::RolledBack);
-                    rolled_back += 1;
-                }
-                IntentOp::Evict { tenant, slot } => {
-                    if parked.get(&tenant).map(|p| p.slot) == Some(slot) {
-                        // The ciphertext reached the durable parked
-                        // store: the eviction happened — roll forward.
-                        journal.commit(now, open.op, None, Duration::ZERO);
-                        rolled_forward += 1;
-                        occupancy.remove(&slot);
-                        registry.record_eviction(tenant);
-                    } else {
-                        journal.abort(now, open.op, "crash during evict", AbortKind::RolledBack);
-                        rolled_back += 1;
-                        // The deployment survives in the tenant
-                        // process; the slot stays held for it.
-                    }
-                }
-                IntentOp::Fence { .. } => {
-                    // The driver that wanted the fence re-issues it
-                    // against the recovered plane.
-                    journal.abort(now, open.op, "crash during fence", AbortKind::RolledBack);
-                    rolled_back += 1;
-                }
-                IntentOp::Abandon { tenant, slot } => {
-                    let suspension_survived = survivor_suspensions
-                        .iter()
-                        .any(|s| s.tenant() == tenant && s.slot() == slot);
-                    if suspension_survived {
-                        // Crash at the intent point: the suspension is
-                        // intact in the tenant process — roll back, the
-                        // tenant can abandon (or resume) again.
-                        journal.abort(now, open.op, "crash during abandon", AbortKind::RolledBack);
-                        rolled_back += 1;
-                    } else {
-                        // The suspension was consumed and the abandon
-                        // audited: roll forward.
-                        journal.commit(now, open.op, None, Duration::ZERO);
-                        rolled_forward += 1;
-                        occupancy.remove(&slot);
-                        registry.record_failed_deploy(tenant);
-                    }
-                }
-            }
+            ledger.apply(action, settlement, record.at)?;
         }
 
         // Cached device keys are only trustworthy when a committed
@@ -1660,40 +1585,40 @@ impl ControlPlane {
         // settled journal holds; a running slot the board reports
         // unconfigured contradicts the durable record.
         fleet.reset_occupancy();
+        let configured = |fleet: &DeviceFleet, slot: SlotId| {
+            fleet
+                .shell(slot.device)
+                .is_some_and(|sh| sh.partition_configured(slot.partition))
+        };
         let mut contradictions: Vec<SlotId> = Vec::new();
         let mut entries: Vec<(SlotId, TenantId, Held)> =
             occupancy.iter().map(|(s, (t, h))| (*s, *t, *h)).collect();
         entries.sort_by_key(|(s, _, _)| (s.device, s.partition));
         for (slot, tenant, held) in entries {
-            let configured = fleet
-                .shell(slot.device)
-                .map(|sh| sh.partition_configured(slot.partition))
-                .unwrap_or(false);
-            if held == Held::Running && !configured {
+            if held == Held::Running && !configured(&fleet, slot) {
                 contradictions.push(slot);
                 audit.append(now, AuditEvent::SessionFenced { tenant, slot });
-                registry.record_failed_deploy(tenant);
-                let _ = health.record_failure(slot.device, now);
+                let fence = IntentOp::Fence { tenant, slot };
+                journal.commit_adjacent(now, fence.clone());
+                ledger.apply(&fence, Settlement::DONE, now)?;
                 occupancy.remove(&slot);
                 continue;
             }
-            let broker: &mut dyn DeviceBroker = &mut fleet;
-            broker.lease_at(slot, tenant).map_err(|_| {
+            fleet.lease_at(slot, tenant).map_err(|_| {
                 SalusError::RecoveryFailed("journal claims a slot the board denies")
             })?;
         }
 
         // Orphaned lanes: a rolled-back deploy whose boot *did*
-        // configure the partition, on a slot nothing else ended up
-        // holding. Fence the lane; no health charge — a controller
-        // death is not the board's fault.
+        // configure the partition, on a slot no commit ever held and
+        // nothing else ended up holding. Fence the lane; no health
+        // charge — a controller death is not the board's fault.
         let mut fenced_orphans: Vec<SlotId> = Vec::new();
-        for (tenant, slot) in orphan_candidates {
-            let configured = fleet
-                .shell(slot.device)
-                .map(|sh| sh.partition_configured(slot.partition))
-                .unwrap_or(false);
-            if configured && !occupancy.contains_key(&slot) {
+        for (tenant, slot) in rolled_back_deploys {
+            if configured(&fleet, slot)
+                && !committed_on_slot.contains(&slot)
+                && !occupancy.contains_key(&slot)
+            {
                 audit.append(now, AuditEvent::SessionFenced { tenant, slot });
                 fenced_orphans.push(slot);
             }
@@ -1712,9 +1637,8 @@ impl ControlPlane {
             shared,
             fleet: Mutex::new(fleet),
             scheduler,
-            registry: Mutex::new(registry),
+            ledger: Mutex::new(ledger),
             parked: Mutex::new(parked),
-            health: Mutex::new(health),
             audit: Mutex::new(audit),
             journal: Mutex::new(journal),
             crash: Mutex::new(CrashPlane::inert()),

@@ -1,4 +1,4 @@
-//! The shared device fleet and the tenant registry.
+//! The shared device fleet and the tenant identity types.
 //!
 //! A fleet is M manufactured boards — possibly of several device
 //! families and geometries — provisioned with per-geometry CSP shell
@@ -13,8 +13,6 @@
 //! carries the geometry of the board it landed on so downstream layers
 //! never assume fleet-wide framing.
 
-use std::collections::HashMap;
-
 use salus_fpga::family::FamilyId;
 use salus_fpga::geometry::DeviceGeometry;
 use salus_fpga::shell::Shell;
@@ -24,7 +22,7 @@ pub use salus_fpga::geometry::DramWindow;
 use crate::keys::KeyDevice;
 use crate::SalusError;
 
-use super::traits::{DeviceBroker, SharedManufacturer};
+use super::traits::SharedManufacturer;
 
 /// A platform tenant's identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,7 +95,7 @@ impl std::fmt::Debug for DeviceFleet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceFleet")
             .field("devices", &self.devices.len())
-            .field("free_slots", &DeviceBroker::free_slots(self))
+            .field("free_slots", &self.free_slots())
             .finish_non_exhaustive()
     }
 }
@@ -287,10 +285,13 @@ impl DeviceFleet {
         }
         out
     }
-}
 
-impl DeviceBroker for DeviceFleet {
-    fn lease_at(&mut self, slot: SlotId, tenant: TenantId) -> Result<DeviceLease, SalusError> {
+    /// Leases `slot` to `tenant`.
+    ///
+    /// # Errors
+    ///
+    /// [`SalusError::Scheduler`] when the slot is unknown or occupied.
+    pub fn lease_at(&mut self, slot: SlotId, tenant: TenantId) -> Result<DeviceLease, SalusError> {
         let device = self
             .devices
             .get_mut(slot.device)
@@ -317,7 +318,12 @@ impl DeviceBroker for DeviceFleet {
         })
     }
 
-    fn release(&mut self, slot: SlotId) -> Result<TenantId, SalusError> {
+    /// Releases `slot`, returning the tenant that held it.
+    ///
+    /// # Errors
+    ///
+    /// [`SalusError::Scheduler`] when the slot is unknown or free.
+    pub fn release(&mut self, slot: SlotId) -> Result<TenantId, SalusError> {
         let device = self
             .devices
             .get_mut(slot.device)
@@ -331,7 +337,8 @@ impl DeviceBroker for DeviceFleet {
             .ok_or(SalusError::Scheduler("slot already free"))
     }
 
-    fn free_slots(&self) -> usize {
+    /// Number of currently free partition slots across the fleet.
+    pub fn free_slots(&self) -> usize {
         self.devices
             .iter()
             .map(|d| d.slots.iter().filter(|s| s.is_none()).count())
@@ -389,106 +396,6 @@ impl TenantRecord {
     /// Total virtual boot time across every completed deployment.
     pub fn total_deploy_time(&self) -> std::time::Duration {
         self.cold_time + self.warm_key_time + self.warm_image_time
-    }
-}
-
-/// Registry of known tenants.
-#[derive(Debug, Default)]
-pub struct TenantRegistry {
-    tenants: HashMap<TenantId, TenantRecord>,
-    next_id: u64,
-}
-
-impl TenantRegistry {
-    /// An empty registry.
-    pub fn new() -> TenantRegistry {
-        TenantRegistry::default()
-    }
-
-    /// Registers a tenant; the id doubles as a per-tenant seed
-    /// namespace (`base_seed + id`).
-    pub fn register(&mut self, name: &str, seed: u64) -> TenantId {
-        let id = TenantId(self.next_id);
-        self.next_id += 1;
-        self.tenants.insert(
-            id,
-            TenantRecord {
-                id,
-                name: name.to_string(),
-                seed,
-                cold_deploys: 0,
-                warm_key_deploys: 0,
-                warm_image_deploys: 0,
-                evictions: 0,
-                failed_deploys: 0,
-                cold_time: std::time::Duration::ZERO,
-                warm_key_time: std::time::Duration::ZERO,
-                warm_image_time: std::time::Duration::ZERO,
-            },
-        );
-        id
-    }
-
-    /// The record for `id`, if registered.
-    pub fn get(&self, id: TenantId) -> Option<&TenantRecord> {
-        self.tenants.get(&id)
-    }
-
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Whether no tenants are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
-    /// Records a completed deployment over `path` that took
-    /// `model_time` of virtual boot time.
-    pub(crate) fn record_deploy(
-        &mut self,
-        id: TenantId,
-        path: DeployPath,
-        model_time: std::time::Duration,
-    ) {
-        if let Some(t) = self.tenants.get_mut(&id) {
-            match path {
-                DeployPath::Cold => {
-                    t.cold_deploys += 1;
-                    t.cold_time += model_time;
-                }
-                DeployPath::WarmKey => {
-                    t.warm_key_deploys += 1;
-                    t.warm_key_time += model_time;
-                }
-                DeployPath::WarmImage => {
-                    t.warm_image_deploys += 1;
-                    t.warm_image_time += model_time;
-                }
-            }
-        }
-    }
-
-    /// Records a deploy or redeploy attempt that ended in failure.
-    pub(crate) fn record_failed_deploy(&mut self, id: TenantId) {
-        if let Some(t) = self.tenants.get_mut(&id) {
-            t.failed_deploys += 1;
-        }
-    }
-
-    /// Records an eviction.
-    pub(crate) fn record_eviction(&mut self, id: TenantId) {
-        if let Some(t) = self.tenants.get_mut(&id) {
-            t.evictions += 1;
-        }
-    }
-
-    /// All records, ordered by tenant id (stable snapshot order).
-    pub fn records(&self) -> Vec<TenantRecord> {
-        let mut out: Vec<TenantRecord> = self.tenants.values().cloned().collect();
-        out.sort_by_key(|r| r.id);
-        out
     }
 }
 
@@ -638,33 +545,5 @@ mod tests {
                 TenantId(2),
             )
             .is_err());
-    }
-
-    #[test]
-    fn registry_tracks_paths_and_evictions() {
-        let mut reg = TenantRegistry::new();
-        let a = reg.register("alice", 1);
-        let b = reg.register("bob", 2);
-        assert_ne!(a, b);
-        reg.record_deploy(a, DeployPath::Cold, std::time::Duration::from_secs(10));
-        reg.record_deploy(a, DeployPath::WarmImage, std::time::Duration::from_secs(2));
-        reg.record_failed_deploy(a);
-        reg.record_eviction(a);
-        let rec = reg.get(a).unwrap();
-        assert_eq!(
-            (
-                rec.cold_deploys,
-                rec.warm_image_deploys,
-                rec.warm_key_deploys,
-                rec.evictions,
-                rec.failed_deploys
-            ),
-            (1, 1, 0, 1, 1)
-        );
-        assert_eq!(rec.total_deploys(), 2);
-        assert_eq!(rec.total_deploy_time(), std::time::Duration::from_secs(12));
-        assert_eq!(rec.cold_time, std::time::Duration::from_secs(10));
-        let ids: Vec<TenantId> = reg.records().iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![a, b]);
     }
 }

@@ -129,31 +129,6 @@ impl DeviceHealth {
         }
     }
 
-    /// Rebuilds a tracker by replaying an ordered `(device, ok, at)`
-    /// outcome history against a fresh `(seed, policy)` tracker.
-    ///
-    /// The rng draws a cool-down only when a board *enters* quarantine,
-    /// so replaying the exact outcome sequence a dead control plane
-    /// journaled reproduces its `readmit_at` draws — and leaves the
-    /// stream at the same position — bit for bit. This is how crash
-    /// recovery restores health state without persisting the tracker.
-    pub fn replay(
-        devices: usize,
-        seed: u64,
-        policy: HealthPolicy,
-        outcomes: &[(DeviceId, bool, Duration)],
-    ) -> DeviceHealth {
-        let mut health = DeviceHealth::new(devices, seed, policy);
-        for &(device, ok, at) in outcomes {
-            if ok {
-                health.record_success(device, at);
-            } else {
-                health.record_failure(device, at);
-            }
-        }
-        health
-    }
-
     /// The active policy.
     pub fn policy(&self) -> HealthPolicy {
         self.policy
@@ -292,45 +267,6 @@ mod tests {
         assert_eq!(h.snapshot(readmit)[0].quarantines, 2);
         let second = h.snapshot(readmit)[0].readmit_at.unwrap();
         assert!(second > readmit);
-    }
-
-    #[test]
-    fn replaying_the_outcome_history_reproduces_the_tracker_exactly() {
-        let mut live = DeviceHealth::new(3, 42, policy());
-        let mut history = Vec::new();
-        let script = [
-            (0, false),
-            (0, false),
-            (1, true),
-            (2, false),
-            (1, false),
-            (2, false),
-            (2, false),
-        ];
-        for (i, &(device, ok)) in script.iter().enumerate() {
-            let at = Duration::from_secs(i as u64);
-            if ok {
-                live.record_success(device, at);
-            } else {
-                live.record_failure(device, at);
-            }
-            history.push((device, ok, at));
-        }
-        let now = Duration::from_secs(script.len() as u64);
-        let replayed = DeviceHealth::replay(3, 42, policy(), &history);
-        assert_eq!(replayed.snapshot(now), live.snapshot(now));
-
-        // The rng streams are in the same position too: the next
-        // quarantine draws the same cool-down on both trackers.
-        let mut replayed = replayed;
-        live.record_failure(1, now);
-        live.record_failure(1, now);
-        replayed.record_failure(1, now);
-        replayed.record_failure(1, now);
-        assert_eq!(
-            live.snapshot(now)[1].readmit_at,
-            replayed.snapshot(now)[1].readmit_at
-        );
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! *intent* record here before touching any fleet state, and a *commit*
 //! record only after every effect of the operation is in place
 //! (an [`abort`](Journal::abort) or [`suspend`](Journal::suspend)
-//! record closes the other outcomes). The journal is therefore the one
-//! durable truth about what the control plane was doing when it died:
-//! recovery replays committed intents to rebuild occupancy, health,
-//! and tenant records, and rolls back — or rolls forward, when the
-//! effects are durably present — whatever was still open.
+//! record closes the other outcomes). Single-step changes that still
+//! charge a tenant — registrations and family refusals — commit
+//! adjacently. The journal is therefore the one durable truth about
+//! what the control plane was doing when it died: recovery rolls back
+//! — or rolls forward, when the effects are durably present — whatever
+//! was still open, then folds the settled records through
+//! [`Ledger::apply`](super::Ledger::apply) to rebuild tenant records
+//! and health, and derives occupancy beside it.
 //!
 //! Records live in a [`HashChain`] (`platform::chain`), the same
 //! primitive as the audit log, under the `salus-journal` digest domain.
@@ -93,6 +96,12 @@ pub enum IntentOp {
         /// The slot being released.
         slot: SlotId,
     },
+    /// The scheduler refused `tenant`'s deploy because no board of the
+    /// requested family exists. Committed adjacently, like `Register`.
+    Refuse {
+        /// The refused tenant.
+        tenant: TenantId,
+    },
 }
 
 impl IntentOp {
@@ -105,14 +114,16 @@ impl IntentOp {
             | IntentOp::Evict { tenant, .. }
             | IntentOp::Redeploy { tenant, .. }
             | IntentOp::Fence { tenant, .. }
-            | IntentOp::Abandon { tenant, .. } => *tenant,
+            | IntentOp::Abandon { tenant, .. }
+            | IntentOp::Refuse { tenant } => *tenant,
         }
     }
 
-    /// The slot the operation acts on (`None` for registration).
+    /// The slot the operation acts on (`None` for registration and
+    /// refusal).
     pub fn slot(&self) -> Option<SlotId> {
         match self {
-            IntentOp::Register { .. } => None,
+            IntentOp::Register { .. } | IntentOp::Refuse { .. } => None,
             IntentOp::Deploy { slot, .. }
             | IntentOp::Resume { slot, .. }
             | IntentOp::Evict { slot, .. }
@@ -200,6 +211,7 @@ const OP_EVICT: u8 = 4;
 const OP_REDEPLOY: u8 = 5;
 const OP_FENCE: u8 = 6;
 const OP_ABANDON: u8 = 7;
+const OP_REFUSE: u8 = 8;
 
 const PATH_NONE: u8 = 255;
 
@@ -213,6 +225,7 @@ impl IntentOp {
             IntentOp::Redeploy { .. } => OP_REDEPLOY,
             IntentOp::Fence { .. } => OP_FENCE,
             IntentOp::Abandon { .. } => OP_ABANDON,
+            IntentOp::Refuse { .. } => OP_REFUSE,
         }
     }
 
@@ -235,6 +248,9 @@ impl IntentOp {
             let name = cur.string()?;
             let seed = cur.u64()?;
             return Ok(IntentOp::Register { tenant, name, seed });
+        }
+        if tag == OP_REFUSE {
+            return Ok(IntentOp::Refuse { tenant });
         }
         let slot = cur.slot()?;
         Ok(match tag {
@@ -385,6 +401,14 @@ impl Journal {
         op
     }
 
+    /// Journals a single-step `action` (a registration or a refusal):
+    /// intent and commit written adjacently, so no crash can leave it
+    /// open.
+    pub fn commit_adjacent(&mut self, at: Duration, action: IntentOp) {
+        let op = self.begin(at, action);
+        self.commit(at, op, None, Duration::ZERO);
+    }
+
     /// Commits `op`: every effect of the operation is in place.
     pub fn commit(&mut self, at: Duration, op: OpId, path: Option<DeployPath>, elapsed: Duration) {
         self.chain
@@ -489,7 +513,7 @@ mod tests {
             match rng.below(4) {
                 0 => JournalEntry::Intent {
                     op,
-                    action: match rng.below(7) {
+                    action: match rng.below(8) {
                         0 => IntentOp::Register {
                             tenant,
                             name: format!("tenant-{i}"),
@@ -500,7 +524,8 @@ mod tests {
                         3 => IntentOp::Evict { tenant, slot: s },
                         4 => IntentOp::Redeploy { tenant, slot: s },
                         5 => IntentOp::Fence { tenant, slot: s },
-                        _ => IntentOp::Abandon { tenant, slot: s },
+                        6 => IntentOp::Abandon { tenant, slot: s },
+                        _ => IntentOp::Refuse { tenant },
                     },
                 },
                 1 => JournalEntry::Commit {

@@ -7,11 +7,11 @@
 //! * [`SharedPlatform`] — the resources one cloud node keeps alive
 //!   across tenants: virtual clock, RPC fabric, attestation service,
 //!   host TEE platform, and the (shared) manufacturer key service.
-//! * [`traits`] — the seams ([`KeyService`], [`AttestationVerifier`],
-//!   [`DeviceBroker`]) the protocol layers talk through instead of
-//!   reaching into concrete structs.
+//! * [`traits`] — [`KeyService`], the key-distribution seam the boot
+//!   machine talks through, served in-process, by a shared
+//!   manufacturer, or over RPC.
 //! * [`fleet`] — [`DeviceFleet`] (M boards, per-board fused keys, one
-//!   shell image) and [`TenantRegistry`].
+//!   shell image) and the tenant identity types.
 //! * [`scheduler`] — deterministic placement of deployments onto free
 //!   (device, partition) slots, with board-exclusion (`avoid`) support
 //!   for quarantined and already-failed boards.
@@ -26,6 +26,9 @@
 //! * [`journal`] — [`Journal`]: the write-ahead intent log every
 //!   multi-step mutation writes before acting, the durable truth
 //!   [`ControlPlane::recover`] replays after a control-plane crash.
+//! * [`ledger`] — [`Ledger`]: tenant records plus board health, and
+//!   [`Ledger::apply`], the one rule for what a settled journal record
+//!   charges. The live plane and recovery both charge through it.
 //! * [`control`] — [`ControlPlane`]: registration, scheduled deploys,
 //!   eviction, warm redeploys that skip the manufacturer round trip by
 //!   reusing cached device keys and parked pre-encrypted bitstreams,
@@ -38,6 +41,7 @@ pub mod control;
 pub mod fleet;
 pub mod health;
 pub mod journal;
+pub mod ledger;
 pub mod scheduler;
 pub mod traits;
 
@@ -49,14 +53,12 @@ pub use control::{
 };
 pub use fleet::{
     DeployPath, DeviceFleet, DeviceId, DeviceLease, DramWindow, SlotId, TenantId, TenantRecord,
-    TenantRegistry,
 };
 pub use health::{DeviceHealth, DeviceHealthRecord, HealthPolicy, HealthState};
 pub use journal::{AbortKind, IntentOp, Journal, JournalEntry, JournalRecord, OpId, OpenOp};
+pub use ledger::{Ledger, Settlement};
 pub use scheduler::{PlacePolicy, PlaceRequest, Scheduler};
-pub use traits::{
-    distribute_device_key, AttestationVerifier, DeviceBroker, KeyService, SharedManufacturer,
-};
+pub use traits::{distribute_device_key, KeyService, SharedManufacturer};
 
 use salus_net::clock::SimClock;
 use salus_net::latency::LatencyModel;

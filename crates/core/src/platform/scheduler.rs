@@ -260,7 +260,6 @@ mod tests {
     use super::*;
     use crate::instance::TestBed;
     use crate::platform::fleet::TenantId;
-    use crate::platform::traits::DeviceBroker;
     use salus_fpga::family::DeviceFamily;
     use salus_fpga::geometry::DeviceGeometry;
 

@@ -1,27 +1,23 @@
 //! Service seams of the shared platform.
 //!
-//! The boot machine, the RPC service layer, and the multi-RP path used
-//! to reach into `TestBed`'s concrete fields. These traits cut those
-//! dependencies at the three natural interfaces — key distribution,
-//! quote verification, and device leasing — so a deployment can run
-//! against the in-process defaults or against long-lived shared
-//! implementations without knowing which it got.
+//! The boot machine, the RPC service layer, and the multi-RP path
+//! reach the manufacturer's key distribution only through
+//! [`KeyService`], so a deployment can run against the in-process
+//! manufacturer, a [`SharedManufacturer`] clone, or the RPC client
+//! without knowing which it got.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use salus_fpga::device::Device;
 use salus_fpga::geometry::DeviceGeometry;
-use salus_tee::measurement::Measurement;
-use salus_tee::quote::{AttestationService, Quote};
+use salus_tee::quote::Quote;
 
 use crate::keys::KeyDevice;
 use crate::manufacturer::Manufacturer;
-use crate::ra::{RaEnvelope, RaVerifier};
+use crate::ra::RaEnvelope;
 use crate::sm_app::SmApp;
 use crate::SalusError;
-
-use super::fleet::{DeviceLease, SlotId, TenantId};
 
 /// The manufacturer's key-distribution interface (§4.2): challenge,
 /// quote-verified redemption, and the idempotent variants the resilient
@@ -179,61 +175,6 @@ impl KeyService for SharedManufacturer {
             .lock()
             .redeem_key_request_idem(token, dna, challenge, quote, enclave_pub)
     }
-}
-
-/// Verification of a quote-bound enclave key (the RA core both the
-/// manufacturer and the user client depend on). Implemented by
-/// [`AttestationService`]; a different root of trust (e.g. a cached
-/// collateral verifier) can slot in without touching the callers.
-pub trait AttestationVerifier {
-    /// Verifies `quote` against `challenge` for an enclave measuring
-    /// `expected`, checking that it binds `enclave_pub`. Returns the
-    /// quote's extra report-data slot.
-    ///
-    /// # Errors
-    ///
-    /// [`SalusError::RemoteAttestationFailed`] on any failed check.
-    fn verify_binding(
-        &self,
-        expected: Measurement,
-        quote: &Quote,
-        enclave_pub: &[u8; 32],
-        challenge: &[u8; 32],
-    ) -> Result<[u8; 32], SalusError>;
-}
-
-impl AttestationVerifier for AttestationService {
-    fn verify_binding(
-        &self,
-        expected: Measurement,
-        quote: &Quote,
-        enclave_pub: &[u8; 32],
-        challenge: &[u8; 32],
-    ) -> Result<[u8; 32], SalusError> {
-        RaVerifier::new(expected).verify(self, quote, enclave_pub, challenge)
-    }
-}
-
-/// Leasing interface over a pool of provisioned devices. The control
-/// plane schedules against this, not against
-/// [`DeviceFleet`](super::fleet::DeviceFleet) directly.
-pub trait DeviceBroker {
-    /// Leases `slot` to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// [`SalusError::Scheduler`] when the slot is unknown or occupied.
-    fn lease_at(&mut self, slot: SlotId, tenant: TenantId) -> Result<DeviceLease, SalusError>;
-
-    /// Releases `slot`, returning the tenant that held it.
-    ///
-    /// # Errors
-    ///
-    /// [`SalusError::Scheduler`] when the slot is unknown or free.
-    fn release(&mut self, slot: SlotId) -> Result<TenantId, SalusError>;
-
-    /// Number of currently free partition slots across the pool.
-    fn free_slots(&self) -> usize;
 }
 
 /// Runs the §4.2 key-distribution round for `dna` against any

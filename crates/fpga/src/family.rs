@@ -9,7 +9,7 @@
 //! spans are *family* properties, not universal constants. Everything
 //! that used to read the old global `FRAME_WORDS`/`FRAMES_PER_BRAM`
 //! constants now goes through a [`FamilyId`] carried by
-//! [`PartitionGeometry`](crate::geometry::PartitionGeometry).
+//! [`PartitionGeometry`].
 //!
 //! A bitstream compiled against one family's framing is meaningless —
 //! and dangerous — on another: frame boundaries land mid-word and BRAM

@@ -146,7 +146,7 @@ impl DramWindow {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::DmaOutOfWindow`] when `rel + len` exceeds the
+    /// [`FpgaError::DmaOutOfWindow`](crate::FpgaError::DmaOutOfWindow) when `rel + len` exceeds the
     /// window (overflow included).
     pub fn to_absolute(&self, rel: usize, len: usize) -> Result<usize, crate::FpgaError> {
         match rel.checked_add(len) {

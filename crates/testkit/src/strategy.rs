@@ -160,7 +160,7 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     }
 }
 
-/// Size specification for [`vec`]; built from `usize` ranges.
+/// Size specification for [`vec()`]; built from `usize` ranges.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     min: usize,

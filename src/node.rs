@@ -20,7 +20,8 @@
 //! assert_eq!(output, workload.compute(workload.input()));
 //! ```
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use salus_accel::harness;
 use salus_accel::integrity;
@@ -64,6 +65,9 @@ pub fn node_geometry(partitions: usize) -> DeviceGeometry {
 #[derive(Clone)]
 pub struct SalusNode {
     plane: Arc<ControlPlane>,
+    /// The memory protection each evicted tenant ran under, restored by
+    /// [`redeploy`](SalusNode::redeploy).
+    evicted_protection: Arc<Mutex<HashMap<TenantId, MemoryProtection>>>,
 }
 
 impl std::fmt::Debug for SalusNode {
@@ -86,6 +90,7 @@ impl SalusNode {
     pub fn provision(config: PlatformConfig) -> Result<SalusNode, SalusError> {
         Ok(SalusNode {
             plane: Arc::new(ControlPlane::provision(config)?),
+            evicted_protection: Arc::default(),
         })
     }
 
@@ -203,13 +208,15 @@ impl SalusNode {
 
     /// Evicts a fleet session: its slot frees up for other tenants and
     /// the pre-encrypted bitstream is parked for a warm-image
-    /// [`redeploy`](SalusNode::redeploy).
+    /// [`redeploy`](SalusNode::redeploy), which restores the session's
+    /// memory protection.
     ///
     /// # Errors
     ///
     /// [`SalusError::Scheduler`] when the session was not deployed
     /// through this fleet API or has nothing to park.
     pub fn evict(&self, session: SecureSession) -> Result<TenantId, SalusError> {
+        let protection = session.protection();
         let (bed, tenancy) = session.into_fleet_parts();
         let tenancy = tenancy.ok_or(SalusError::Scheduler("session is not fleet-managed"))?;
         let report = CascadeReport {
@@ -217,7 +224,7 @@ impl SalusNode {
             sm_attested: bed.user_app.platform_attested(),
             cl_attested: bed.sm_app.cl_attested(),
         };
-        self.plane.evict(TenantDeployment {
+        let tenant = self.plane.evict(TenantDeployment {
             tenant: tenancy.tenant,
             slot: tenancy.slot,
             window: tenancy.window,
@@ -229,7 +236,12 @@ impl SalusNode {
             },
             path: tenancy.path,
             attempts: 1,
-        })
+        })?;
+        self.evicted_protection
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(tenant, protection);
+        Ok(tenant)
     }
 
     /// Fences a fleet session that failed (or timed out) runtime
@@ -250,11 +262,12 @@ impl SalusNode {
         Ok(tenancy.tenant)
     }
 
-    /// Brings an evicted tenant back. Prefers the warm-image fast path
-    /// (reload the parked ciphertext on its bound slot, re-attest the
-    /// CL — no manufacturer round trip); if that slot was taken
-    /// meanwhile or its board is quarantined, falls back to a full
-    /// scheduled deploy elsewhere (the ciphertext stays parked).
+    /// Brings an evicted tenant back under the memory protection it was
+    /// evicted with. Prefers the warm-image fast path (reload the parked
+    /// ciphertext on its bound slot, re-attest the CL — no manufacturer
+    /// round trip); if that slot was taken meanwhile or its board is
+    /// quarantined, falls back to a full scheduled deploy elsewhere (the
+    /// ciphertext stays parked).
     ///
     /// # Errors
     ///
@@ -265,21 +278,13 @@ impl SalusNode {
         tenant: TenantId,
         workload: &dyn Workload,
     ) -> Result<SecureSession, SalusError> {
-        self.redeploy_protected(tenant, workload, MemoryProtection::Confidentiality)
-    }
-
-    /// [`redeploy`](SalusNode::redeploy) with an explicit memory-
-    /// protection mode for the direct DMA channel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`redeploy`](SalusNode::redeploy).
-    pub fn redeploy_protected(
-        &self,
-        tenant: TenantId,
-        workload: &dyn Workload,
-        protection: MemoryProtection,
-    ) -> Result<SecureSession, SalusError> {
+        let protection = self
+            .evicted_protection
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&tenant)
+            .copied()
+            .unwrap_or_default();
         match self.plane.redeploy(tenant) {
             Ok(deployment) => Self::attach(deployment, workload, protection),
             Err(
@@ -365,6 +370,31 @@ mod tests {
         let tenancy = session.tenancy().unwrap();
         assert_eq!(tenancy.path, DeployPath::WarmImage);
         assert_eq!(tenancy.slot, slot);
+        let output = session.run(&workload).unwrap();
+        assert_eq!(output, workload.compute(workload.input()));
+    }
+
+    #[test]
+    fn redeploy_restores_the_evicted_memory_protection() {
+        let node = SalusNode::quick(1, 2).unwrap();
+        let alice = node.register_tenant("alice");
+        let workload = Affine::paper_scale();
+        let session = node
+            .deploy_protected(
+                alice,
+                &workload,
+                MemoryProtection::ConfidentialityAndIntegrity,
+            )
+            .unwrap();
+        node.evict(session).unwrap();
+
+        let mut session = node.redeploy(alice, &workload).unwrap();
+        assert_eq!(session.tenancy().unwrap().path, DeployPath::WarmImage);
+        assert_eq!(
+            session.protection(),
+            MemoryProtection::ConfidentialityAndIntegrity,
+            "a warm-image redeploy must not drop the Merkle checks"
+        );
         let output = session.run(&workload).unwrap();
         assert_eq!(output, workload.compute(workload.input()));
     }

@@ -714,6 +714,41 @@ fn journal_contradicted_by_the_board_fences_and_charges() {
         .filter(|r| matches!(r.entry, AuditEvent::SessionFenced { .. }))
         .count();
     assert_eq!(fences, 1, "the contradiction lands in the audit chain");
+
+    // The fence was committed to the journal, so a second recovery
+    // replays its charge instead of finding the contradiction again.
+    let want = fingerprint(&recovered);
+    let (again, report) = crash_and_recover(recovered);
+    assert!(report.contradictions.is_empty());
+    assert_eq!(fingerprint(&again), want);
+}
+
+#[test]
+fn a_refused_deploy_survives_recovery() {
+    use salus::core::platform::PlaceRequest;
+    use salus::fpga::family::FamilyId;
+
+    let plane = ControlPlane::provision(PlatformConfig::quick(1, 2)).unwrap();
+    let alice = plane.register_tenant("alice");
+    let versal = DeployPolicy::single().with_request(PlaceRequest::for_family(FamilyId::Versal));
+    let failure = plane
+        .deploy(alice, loopback_accelerator(), versal)
+        .expect_err("no versal board exists");
+    assert!(matches!(failure, DeployFailure::Rejected(_)));
+    assert_eq!(plane.tenant_record(alice).unwrap().failed_deploys, 1);
+    let want = fingerprint(&plane);
+
+    let (recovered, _) = crash_and_recover(plane);
+    assert_eq!(
+        recovered.tenant_record(alice).unwrap().failed_deploys,
+        1,
+        "the refusal's charge must be journaled"
+    );
+    assert_eq!(fingerprint(&recovered), want);
+
+    // A second recovery replays the same journal to the same ledger.
+    let (again, _) = crash_and_recover(recovered);
+    assert_eq!(fingerprint(&again), want);
 }
 
 #[test]
