@@ -353,9 +353,14 @@ impl RunPlan {
     /// coalesced batch fill.
     pub fn encrypt_input(&self, payload: &[u8]) -> Vec<u8> {
         let mut ciphertext = payload.to_vec();
-        AesCtr256::from_cipher(self.cipher.clone(), &self.iv_in)
-            .apply_keystream_parallel(&mut ciphertext);
+        self.encrypt_input_in_place(&mut ciphertext);
         ciphertext
+    }
+
+    /// [`encrypt_input`](RunPlan::encrypt_input) over a payload already
+    /// copied into its staging buffer.
+    pub fn encrypt_input_in_place(&self, payload: &mut [u8]) {
+        AesCtr256::from_cipher(self.cipher.clone(), &self.iv_in).apply_keystream_parallel(payload);
     }
 
     /// Owner-side decryption of one request's output buffer (only

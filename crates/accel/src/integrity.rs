@@ -517,11 +517,18 @@ impl IntegrityPlan {
     /// byte or root.
     pub fn encrypt_input(&self, payload: &[u8]) -> (Vec<u8>, [u8; 32]) {
         let mut ciphertext = payload.to_vec();
+        let root = self.encrypt_input_in_place(&mut ciphertext);
+        (ciphertext, root)
+    }
+
+    /// [`encrypt_input`](IntegrityPlan::encrypt_input) over a payload
+    /// already copied into its staging buffer; returns the ciphertext's
+    /// Merkle root.
+    pub fn encrypt_input_in_place(&self, payload: &mut [u8]) -> [u8; 32] {
         self.session
             .ctr(&self.iv_in)
-            .apply_keystream_parallel(&mut ciphertext);
-        let root = self.session.root_parallel(&ciphertext);
-        (ciphertext, root)
+            .apply_keystream_parallel(payload);
+        self.session.root_parallel(payload)
     }
 
     /// Verifies one request's output buffer against the root read back

@@ -92,6 +92,14 @@ impl RpcFabric {
         *self.inner.fault_plane.lock() = None;
     }
 
+    /// Whether a fault plane is installed on the fabric. Its fault
+    /// decisions draw from one shared RNG and read the shared clock, so
+    /// callers that would transmit from several threads at once check
+    /// this and stay on one thread instead.
+    pub fn has_fault_plane(&self) -> bool {
+        self.inner.fault_plane.lock().is_some()
+    }
+
     /// The fabric's shared clock.
     pub fn clock(&self) -> &SimClock {
         &self.inner.clock
@@ -264,6 +272,16 @@ mod tests {
         let f = fabric();
         f.register_handler("srv", "echo", Box::new(|req| Ok(req.to_vec())));
         assert_eq!(f.call("cli", "srv", "echo", b"hi").unwrap(), b"hi");
+    }
+
+    #[test]
+    fn has_fault_plane_follows_install_and_clear() {
+        let f = fabric();
+        assert!(!f.has_fault_plane());
+        f.install_fault_plane(FaultPlane::inert());
+        assert!(f.has_fault_plane(), "an inert plane still counts");
+        f.clear_fault_plane();
+        assert!(!f.has_fault_plane());
     }
 
     #[test]

@@ -30,6 +30,29 @@
 //!   and co-resident partitions overlap fully except on the board's
 //!   shared DMA bus — which is exactly the isolation the per-partition
 //!   windows bought.
+//! * **Board-parallel execution** — the functional pass (the host
+//!   really moving each request's bytes) runs each board on its own
+//!   core: a board's lanes run in lane order on one scoped thread, the
+//!   caller's thread taking the first board, with no more threads than
+//!   boards or cores. Small drains (under [`MIN_BYTES_PER_THREAD`] of
+//!   queued payload) stay on the caller's thread.
+//!
+//! Board-parallel execution is deterministic. A lane's bytes depend
+//! only on its own board: the board's device lock, the device's DRAM
+//! write log (which the integrity controller's incremental Merkle dirty
+//! set reads, so lanes sharing a board stay serial), and the lane's own
+//! register links. The one shared mutable thing a lane touches is the
+//! [`SimClock`], which register transfers only ever *advance* by atomic
+//! additions — its value after the pass is the same on any interleaving,
+//! and nothing in the pass reads it. Workers hand back their batches,
+//! responses and window faults; the caller merges them in lane order, so
+//! the schedule, the report and the audit chain (faults are appended
+//! after the join, stamped at the post-pass clock) are built exactly as
+//! on one thread. The exception is a fabric fault plane: its decisions
+//! draw from one shared RNG and read the clock, so with one installed
+//! the drain runs every lane on the caller's thread, in lane order.
+//! Responses are written into each request's own payload buffer, so
+//! drain threads leave no long-lived allocation in their own heap.
 //!
 //! Both the blocking loop and this executor drive the *same* resumable
 //! stage functions ([`salus_accel::harness`], [`salus_accel::integrity`]),
@@ -73,9 +96,11 @@ use salus_accel::integrity::{
     VerifiedOutcome,
 };
 use salus_accel::workload::Workload;
-use salus_core::platform::{AuditEvent, ControlPlane, SlotId, TenantId};
+use salus_core::instance::TestBed;
+use salus_core::platform::{AuditEvent, ControlPlane};
 use salus_core::runtime_attest::{challenge, AttestPolicy, ChallengeOutcome};
 use salus_core::SalusError;
+use salus_crypto::parallel::MIN_BYTES_PER_THREAD;
 use salus_net::clock::SimClock;
 
 use crate::node::SalusNode;
@@ -369,7 +394,8 @@ struct Lane {
     session: SecureSession,
     workload: Box<dyn Workload>,
     /// The DMA bus this lane contends on: its board for fleet
-    /// sessions, a private bus for standalone sessions.
+    /// sessions, a private bus for standalone sessions. A drain runs
+    /// the lanes of one bus on one thread.
     bus: usize,
     buffers: LaneBuffers,
     queue: VecDeque<Pending>,
@@ -472,7 +498,7 @@ impl ServingReport {
 /// See the [module docs](self) for the execution model. Determinism:
 /// given the same attach/submit sequence, every drain executes the
 /// same batches in the same order and reports identical virtual-time
-/// numbers.
+/// numbers, however many threads its boards' lanes ran on.
 pub struct ServingPlane {
     config: ServingConfig,
     lanes: Vec<Option<Lane>>,
@@ -602,9 +628,7 @@ impl ServingPlane {
             .and_then(|l| l.as_mut())
             .ok_or(ServeError::UnknownLane(lane))?;
         let bed = l.session.bed_mut();
-        let read = |bed: &mut salus_core::instance::TestBed, reg| {
-            bed.secure_reg_read(reg).map_err(ServeError::Rejected)
-        };
+        let read = |bed: &mut TestBed, reg| bed.secure_reg_read(reg).map_err(ServeError::Rejected);
         Ok(IntegrityStats {
             full_builds: read(bed, integrity_regs::STAT_FULL_BUILDS)?,
             incr_refreshes: read(bed, integrity_regs::STAT_INCR_REFRESHES)?,
@@ -726,31 +750,46 @@ impl ServingPlane {
     /// the schedule, which is what makes the pipelined plane safe to
     /// reason about.
     ///
+    /// The functional pass runs each board's lanes in lane order on
+    /// one thread, and different boards on different threads (the
+    /// caller's among them) once at least
+    /// [`MIN_BYTES_PER_THREAD`] payload bytes are queued and the
+    /// fabric carries no fault plane; the [module docs](self) explain
+    /// why the outcome does not depend on the split.
+    ///
     /// # Errors
     ///
-    /// Unrecoverable protocol failures (a broken register channel).
-    /// Per-request rejections (integrity faults, oversized outputs)
-    /// are *not* drain errors; they surface through
-    /// [`take`](ServingPlane::take) as [`ServeError::Rejected`].
+    /// Unrecoverable protocol failures (a broken register channel):
+    /// the lowest-index failing lane's error. The requests of the
+    /// batch it broke are answered with [`ServeError::Rejected`]; its
+    /// later requests, and every later lane on the same board, stay
+    /// queued. Lanes on other boards still run and their responses are
+    /// collectable, but the clock does not advance. Per-request
+    /// rejections (integrity faults, oversized outputs) are *not* drain
+    /// errors; they surface through [`take`](ServingPlane::take) as
+    /// [`ServeError::Rejected`].
     pub fn drain(&mut self) -> Result<ServingReport, ServeError> {
-        let mut executed: Vec<ExecutedBatch> = Vec::new();
         let max_batch = match self.config.mode {
             ExecutionMode::Serial => 1,
             ExecutionMode::Pipelined { max_batch } => max_batch,
         };
-        let audit = self.audit.clone();
-        for index in 0..self.lanes.len() {
-            let Some(lane) = self.lanes[index].as_mut() else {
-                continue;
-            };
-            if lane.queue.is_empty() {
-                continue;
+        let mut runs = self.execute_lanes(max_batch);
+        runs.sort_unstable_by_key(|run| run.index);
+
+        let mut executed: Vec<ExecutedBatch> = Vec::new();
+        let mut failure = None;
+        for run in runs {
+            executed.extend(run.batches);
+            self.responses.extend(run.responses);
+            if let Some(plane) = &self.audit {
+                for event in run.faults {
+                    plane.audit_append(event);
+                }
             }
-            let sink = audit
-                .as_deref()
-                .and_then(|plane| lane.session.tenancy().map(|t| (plane, t.tenant, t.slot)));
-            let batches = execute_lane(lane, index, max_batch, sink, &mut self.responses)?;
-            executed.extend(batches);
+            failure = failure.or(run.failed);
+        }
+        if let Some(e) = failure {
+            return Err(ServeError::Rejected(e));
         }
 
         let report = match self.config.mode {
@@ -761,6 +800,61 @@ impl ServingPlane {
             clock.advance(report.makespan);
         }
         Ok(report)
+    }
+
+    /// The functional pass over every lane with queued work: one
+    /// [`LaneRun`] per lane that ran, in no particular order.
+    fn execute_lanes(&mut self, max_batch: usize) -> Vec<LaneRun> {
+        let mut queued: Vec<(usize, &mut Lane)> = self
+            .lanes
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, lane)| Some((index, lane.as_mut()?)))
+            .filter(|(_, lane)| !lane.queue.is_empty())
+            .collect();
+        let bytes: usize = queued
+            .iter()
+            .flat_map(|(_, lane)| &lane.queue)
+            .map(|pending| pending.payload.len())
+            .sum();
+        let faulty = queued
+            .iter_mut()
+            .any(|(_, lane)| lane.session.bed_mut().fabric.has_fault_plane());
+        if bytes < MIN_BYTES_PER_THREAD || faulty {
+            return execute_in_order(queued, max_batch);
+        }
+
+        // Each board's lanes in lane order; boards in order of their
+        // first lane, dealt round-robin onto at most one worker a core.
+        let mut boards: Vec<Vec<(usize, &mut Lane)>> = Vec::new();
+        for (index, lane) in queued {
+            match boards.iter_mut().find(|board| board[0].1.bus == lane.bus) {
+                Some(board) => board.push((index, lane)),
+                None => boards.push(vec![(index, lane)]),
+            }
+        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = boards.len().min(cores);
+        let mut shares: Vec<Vec<(usize, &mut Lane)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, board) in boards.into_iter().enumerate() {
+            shares[i % workers].extend(board);
+        }
+        let mut shares = shares.into_iter();
+        let own = shares.next().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = shares
+                .map(|share| scope.spawn(move || execute_in_order(share, max_batch)))
+                .collect();
+            let mut runs = execute_in_order(own, max_batch);
+            for worker in spawned {
+                runs.extend(
+                    worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            runs
+        })
     }
 
     /// Redeems a response handle.
@@ -784,153 +878,260 @@ impl ServingPlane {
     }
 }
 
-/// Functionally executes one lane's queue: coalesces batches, moves
-/// the bytes through the resumable stages, and records the byte/op
-/// counts the model pass prices.
-fn execute_lane(
-    lane: &mut Lane,
+/// What the functional pass did on one lane.
+struct LaneRun {
     index: usize,
-    max_batch: usize,
-    audit: Option<(&ControlPlane, TenantId, SlotId)>,
-    responses: &mut HashMap<u64, Result<Vec<u8>, SalusError>>,
-) -> Result<Vec<ExecutedBatch>, ServeError> {
-    enum Plan {
-        Plain(RunPlan),
-        Verified(IntegrityPlan),
-    }
-    let plan = match lane.session.protection() {
-        MemoryProtection::Confidentiality => Plan::Plain(RunPlan::prepare(lane.session.bed_mut())?),
-        MemoryProtection::ConfidentialityAndIntegrity => {
-            Plan::Verified(IntegrityPlan::prepare(lane.session.bed_mut())?)
-        }
-    };
-    let encrypt_output = lane.workload.encrypt_output();
-    let buffers = lane.buffers;
-    let mut batches = Vec::new();
-    let mut parity = 0usize;
+    batches: Vec<ExecutedBatch>,
+    /// Every request popped from the queue, answered.
+    responses: Vec<(u64, Result<Vec<u8>, SalusError>)>,
+    /// Window faults to audit (fleet lanes only), execution order.
+    faults: Vec<AuditEvent>,
+    /// The protocol failure that stopped the lane, if any.
+    failed: Option<SalusError>,
+}
 
-    while !lane.queue.is_empty() {
-        // Coalesce: up to `max_batch` FIFO requests whose ciphertexts
-        // fit one staging buffer. Same lane ⇒ same session, key, and
-        // accelerator ⇒ compatible by construction.
-        let mut members: Vec<Pending> = Vec::new();
-        let mut packed: Vec<u8> = Vec::new();
-        let mut roots: Vec<[u8; 32]> = Vec::new();
-        let mut input_offsets: Vec<usize> = Vec::new();
-        while members.len() < max_batch {
-            let Some(next) = lane.queue.front() else {
+/// Runs `lanes` one after another, in the order given. Once a lane
+/// fails, later lanes on its board stay queued.
+fn execute_in_order(lanes: Vec<(usize, &mut Lane)>, max_batch: usize) -> Vec<LaneRun> {
+    let mut failed_buses: Vec<usize> = Vec::new();
+    let mut runs = Vec::with_capacity(lanes.len());
+    for (index, lane) in lanes {
+        if failed_buses.contains(&lane.bus) {
+            continue;
+        }
+        let run = execute_lane(lane, index, max_batch);
+        if run.failed.is_some() {
+            failed_buses.push(lane.bus);
+        }
+        runs.push(run);
+    }
+    runs
+}
+
+/// A lane's memory protection, with the session keys its stages use.
+enum Plan {
+    Plain(RunPlan),
+    Verified(IntegrityPlan),
+}
+
+impl Plan {
+    fn prepare(session: &mut SecureSession) -> Result<Plan, SalusError> {
+        Ok(match session.protection() {
+            MemoryProtection::Confidentiality => Plan::Plain(RunPlan::prepare(session.bed_mut())?),
+            MemoryProtection::ConfidentialityAndIntegrity => {
+                Plan::Verified(IntegrityPlan::prepare(session.bed_mut())?)
+            }
+        })
+    }
+
+    /// Encrypts one staged payload in place; returns its input root
+    /// (zeros on the plain channel).
+    fn encrypt_input(&self, staged: &mut [u8]) -> [u8; 32] {
+        match self {
+            Plan::Plain(p) => {
+                p.encrypt_input_in_place(staged);
+                [0; 32]
+            }
+            Plan::Verified(p) => p.encrypt_input_in_place(staged),
+        }
+    }
+
+    fn program_key(&self, bed: &mut TestBed) -> Result<(), SalusError> {
+        match self {
+            Plan::Plain(p) => stage_program_key(bed, p),
+            Plan::Verified(p) => stage_program_key_verified(bed, p),
+        }
+    }
+
+    fn execute(
+        &self,
+        bed: &mut TestBed,
+        req: &ExecRequest,
+        in_root: &[u8; 32],
+    ) -> Result<VerifiedOutcome, SalusError> {
+        Ok(match self {
+            Plan::Plain(_) => match stage_execute(bed, req)? {
+                ExecOutcome::Done { output_len } => VerifiedOutcome::Done {
+                    output_len,
+                    out_root: [0; 32],
+                },
+                ExecOutcome::WindowFault { reported_len } => {
+                    VerifiedOutcome::WindowFault { reported_len }
+                }
+            },
+            Plan::Verified(_) => stage_execute_verified(bed, req, in_root)?,
+        })
+    }
+
+    /// Register transactions one execute step spends: offsets, start,
+    /// and status (plus roots on the verified channel, plus the output
+    /// readback on success).
+    fn exec_reg_ops(&self, done: bool) -> u32 {
+        // INPUT_OFFSET, INPUT_LEN, OUTPUT_OFFSET, ENCRYPT_OUTPUT,
+        // START, STATUS, OUTPUT_LEN.
+        let base = 7;
+        match (self, done) {
+            // + IN_ROOT ×4 always, + OUT_ROOT ×4 on success.
+            (Plan::Verified(_), true) => base + 8,
+            (Plan::Verified(_), false) => base + 4,
+            (Plan::Plain(_), _) => base,
+        }
+    }
+
+    /// Turns one read-back output into plaintext: verified against its
+    /// root on the integrity channel, decrypted if the workload
+    /// encrypts output.
+    fn open_output(
+        &self,
+        output: &mut [u8],
+        out_root: &[u8; 32],
+        encrypt_output: bool,
+    ) -> Result<(), SalusError> {
+        match self {
+            Plan::Plain(p) => {
+                if encrypt_output {
+                    p.decrypt_output(output);
+                }
+                Ok(())
+            }
+            Plan::Verified(p) => p.verify_output(output, out_root, encrypt_output),
+        }
+    }
+}
+
+/// One coalesced batch on its way through the stages.
+struct Batch {
+    members: Vec<Pending>,
+    /// Payload bytes per member (what compute streams), taken before
+    /// the responses reuse the payload buffers.
+    compute_bytes: Vec<usize>,
+    /// Each member's offset in `packed`, and its input root.
+    inputs: Vec<(usize, [u8; 32])>,
+    /// The members' ciphertexts, back to back: one DMA fill.
+    packed: Vec<u8>,
+    /// Each member's response, once known.
+    outputs: Vec<Option<Result<Vec<u8>, SalusError>>>,
+    reg_ops: u32,
+    /// DMA-out transactions (bytes each); normally one packed read,
+    /// more if an output overflow forced an early flush.
+    dout_bytes: Vec<usize>,
+    /// Requests whose output overflowed even an empty staging buffer.
+    window_faults: usize,
+}
+
+impl Batch {
+    /// Coalesces up to `max_batch` FIFO requests whose ciphertexts fit
+    /// one staging buffer, encrypting each in place. Same lane ⇒ same
+    /// session, key, and accelerator ⇒ compatible by construction.
+    fn coalesce(
+        queue: &mut VecDeque<Pending>,
+        plan: &Plan,
+        capacity: usize,
+        max_batch: usize,
+    ) -> Batch {
+        let mut batch = Batch {
+            members: Vec::new(),
+            compute_bytes: Vec::new(),
+            inputs: Vec::new(),
+            packed: Vec::with_capacity(capacity),
+            outputs: Vec::new(),
+            reg_ops: 0,
+            dout_bytes: Vec::new(),
+            window_faults: 0,
+        };
+        while batch.members.len() < max_batch {
+            let Some(next) = queue.front() else {
                 break;
             };
-            if !members.is_empty() && packed.len() + next.payload.len() > buffers.capacity() {
+            let offset = batch.packed.len();
+            if !batch.members.is_empty() && offset + next.payload.len() > capacity {
                 break;
             }
-            let next = lane.queue.pop_front().expect("front checked");
-            input_offsets.push(packed.len());
-            match &plan {
-                Plan::Plain(p) => packed.extend_from_slice(&p.encrypt_input(&next.payload)),
-                Plan::Verified(p) => {
-                    let (ciphertext, root) = p.encrypt_input(&next.payload);
-                    packed.extend_from_slice(&ciphertext);
-                    roots.push(root);
-                }
-            }
-            members.push(next);
+            let next = queue.pop_front().expect("front checked");
+            batch.packed.extend_from_slice(&next.payload);
+            let root = plan.encrypt_input(&mut batch.packed[offset..]);
+            batch.inputs.push((offset, root));
+            batch.compute_bytes.push(next.payload.len());
+            batch.outputs.push(None);
+            batch.members.push(next);
         }
+        batch
+    }
 
+    /// Stages the batch through the device: one coalesced DMA fill,
+    /// one key exchange, per-request compute, and packed DMA-outs.
+    /// Answers every member it finishes; on a protocol failure the
+    /// rest stay unanswered.
+    fn execute(
+        &mut self,
+        bed: &mut TestBed,
+        plan: &Plan,
+        buffers: LaneBuffers,
+        parity: usize,
+        encrypt_output: bool,
+    ) -> Result<(), SalusError> {
         let in_base = buffers.input_base(parity);
         let out_base = buffers.output_base(parity);
-        let bed = lane.session.bed_mut();
 
         // Stage 1: one coalesced DMA fill for the whole batch.
-        stage_dma_in(bed, in_base, &packed)?;
+        stage_dma_in(bed, in_base, &self.packed)?;
 
         // Stage 2: key exchange once per batch, then per-request
         // programming + compute.
-        let mut reg_ops = 4u32;
-        match &plan {
-            Plan::Plain(p) => stage_program_key(bed, p)?,
-            Plan::Verified(p) => stage_program_key_verified(bed, p)?,
-        }
+        plan.program_key(bed)?;
+        self.reg_ops = 4;
 
-        // (request, window-relative output offset, output length)
+        // (member, output offset in the staging buffer, length, root)
         let mut spans: Vec<(usize, usize, usize, [u8; 32])> = Vec::new();
         let mut out_cursor = 0usize;
-        let mut dout_bytes: Vec<usize> = Vec::new();
-        let mut outputs: HashMap<u64, Result<Vec<u8>, SalusError>> = HashMap::new();
-        for (i, member) in members.iter().enumerate() {
+        for i in 0..self.members.len() {
+            let (input_offset, in_root) = self.inputs[i];
             let mut retried = false;
             loop {
                 let req = ExecRequest {
-                    input_offset: in_base + input_offsets[i],
-                    input_len: member.payload.len(),
+                    input_offset: in_base + input_offset,
+                    input_len: self.compute_bytes[i],
                     output_offset: out_base + out_cursor,
                     encrypt_output,
                 };
-                let outcome = match &plan {
-                    Plan::Plain(_) => match stage_execute(bed, &req)? {
-                        ExecOutcome::Done { output_len } => VerifiedOutcome::Done {
-                            output_len,
-                            out_root: [0; 32],
-                        },
-                        ExecOutcome::WindowFault { reported_len } => {
-                            VerifiedOutcome::WindowFault { reported_len }
-                        }
-                    },
-                    Plan::Verified(_) => stage_execute_verified(bed, &req, &roots[i])?,
-                };
-                match outcome {
+                match plan.execute(bed, &req, &in_root)? {
                     VerifiedOutcome::Done {
                         output_len,
                         out_root,
                     } => {
-                        reg_ops += exec_reg_ops(&plan, true);
+                        self.reg_ops += plan.exec_reg_ops(true);
                         spans.push((i, out_cursor, output_len, out_root));
                         out_cursor += output_len;
                         break;
                     }
                     VerifiedOutcome::InputTampered => {
-                        reg_ops += exec_reg_ops(&plan, false);
-                        outputs.insert(
-                            member.id,
-                            Err(SalusError::RegisterChannelViolation("input integrity")),
-                        );
+                        self.reg_ops += plan.exec_reg_ops(false);
+                        self.outputs[i] =
+                            Some(Err(SalusError::RegisterChannelViolation("input integrity")));
                         break;
                     }
                     VerifiedOutcome::WindowFault { reported_len } => {
-                        reg_ops += exec_reg_ops(&plan, false);
+                        self.reg_ops += plan.exec_reg_ops(false);
                         if out_cursor > 0 && !retried {
                             // The packed outputs filled the staging
                             // buffer: flush what is there in one early
                             // DMA-out, then retry this request against
                             // an empty buffer.
-                            flush_outputs(
-                                bed,
-                                &plan,
-                                out_base,
-                                out_cursor,
-                                &spans,
-                                &members,
-                                encrypt_output,
-                                &mut outputs,
-                            )?;
-                            dout_bytes.push(out_cursor);
+                            self.flush(bed, plan, out_base, out_cursor, &spans, encrypt_output)?;
                             spans.clear();
                             out_cursor = 0;
                             retried = true;
                             continue;
                         }
                         // Even an empty buffer cannot hold this output.
-                        if let Some((plane, tenant, slot)) = audit {
-                            plane.audit_append(AuditEvent::WindowFault { tenant, slot });
-                        }
-                        outputs.insert(
-                            member.id,
-                            Err(SalusError::Fpga(salus_fpga::FpgaError::DmaOutOfWindow {
+                        self.window_faults += 1;
+                        self.outputs[i] = Some(Err(SalusError::Fpga(
+                            salus_fpga::FpgaError::DmaOutOfWindow {
                                 offset: (out_base + out_cursor) as u64,
                                 len: reported_len,
                                 window: bed.dram_window.len as u64,
-                            })),
-                        );
+                            },
+                        )));
                         break;
                     }
                 }
@@ -939,88 +1140,107 @@ fn execute_lane(
 
         // Stage 3: one packed DMA-out for everything still in DRAM.
         if out_cursor > 0 {
-            flush_outputs(
-                bed,
-                &plan,
-                out_base,
-                out_cursor,
-                &spans,
-                &members,
-                encrypt_output,
-                &mut outputs,
-            )?;
-            dout_bytes.push(out_cursor);
+            self.flush(bed, plan, out_base, out_cursor, &spans, encrypt_output)?;
         }
-
-        for member in &members {
-            let outcome = outputs
-                .remove(&member.id)
-                .unwrap_or(Err(SalusError::Malformed("request produced no output")));
-            responses.insert(member.id, outcome);
-        }
-        batches.push(ExecutedBatch {
-            lane: index,
-            bus: lane.bus,
-            cipher_bytes: packed.len(),
-            reg_ops,
-            compute_bytes: members.iter().map(|m| m.payload.len()).collect(),
-            dout_bytes,
-            requests: members.iter().map(|m| (m.id, m.arrival)).collect(),
-        });
-        parity ^= 1;
-    }
-
-    // The borrow of `plan` kept `Plan` alive; name the enum locally so
-    // the helper below can see it.
-    return Ok(batches);
-
-    /// Register transactions one execute step spends: offsets, start,
-    /// and status (plus roots on the verified channel, plus the output
-    /// readback on success).
-    fn exec_reg_ops(plan: &Plan, done: bool) -> u32 {
-        // INPUT_OFFSET, INPUT_LEN, OUTPUT_OFFSET, ENCRYPT_OUTPUT,
-        // START, STATUS, OUTPUT_LEN.
-        let base = 7;
-        match (plan, done) {
-            // + IN_ROOT ×4 always, + OUT_ROOT ×4 on success.
-            (Plan::Verified(_), true) => base + 8,
-            (Plan::Verified(_), false) => base + 4,
-            (Plan::Plain(_), _) => base,
-        }
+        Ok(())
     }
 
     /// Reads the packed output region back in one DMA transaction and
-    /// splits it into per-request responses (verifying each against
-    /// its root on the integrity channel).
-    #[allow(clippy::too_many_arguments)]
-    fn flush_outputs(
-        bed: &mut salus_core::instance::TestBed,
+    /// answers each request it holds. A response is written into its
+    /// request's own payload buffer, which the submitting thread
+    /// allocated, so drain threads leave no long-lived allocation
+    /// behind; an output under half that buffer's capacity gets a fresh
+    /// one instead, so a small response never pins a large buffer.
+    fn flush(
+        &mut self,
+        bed: &mut TestBed,
         plan: &Plan,
         out_base: usize,
         out_len: usize,
         spans: &[(usize, usize, usize, [u8; 32])],
-        members: &[Pending],
         encrypt_output: bool,
-        outputs: &mut HashMap<u64, Result<Vec<u8>, SalusError>>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<(), SalusError> {
         let packed_out = stage_dma_out(bed, out_base, out_len)?;
-        for &(member_index, offset, len, ref out_root) in spans {
-            let mut output = packed_out[offset..offset + len].to_vec();
-            let outcome = match plan {
-                Plan::Plain(p) => {
-                    if encrypt_output {
-                        p.decrypt_output(&mut output);
-                    }
-                    Ok(output)
-                }
-                Plan::Verified(p) => p
-                    .verify_output(&mut output, out_root, encrypt_output)
-                    .map(|()| output),
-            };
-            outputs.insert(members[member_index].id, outcome);
+        self.dout_bytes.push(out_len);
+        for &(i, offset, len, ref out_root) in spans {
+            let mut output = std::mem::take(&mut self.members[i].payload);
+            if 2 * len < output.capacity() {
+                output = Vec::with_capacity(len);
+            }
+            output.clear();
+            output.extend_from_slice(&packed_out[offset..offset + len]);
+            let outcome = plan
+                .open_output(&mut output, out_root, encrypt_output)
+                .map(|()| output);
+            self.outputs[i] = Some(outcome);
         }
         Ok(())
     }
+}
+
+/// Functionally executes one lane's queue: coalesces batches, moves
+/// the bytes through the resumable stages, and records the byte/op
+/// counts the model pass prices. Stops at the first protocol failure,
+/// answering the requests of the batch it broke with that error.
+fn execute_lane(lane: &mut Lane, index: usize, max_batch: usize) -> LaneRun {
+    let mut run = LaneRun {
+        index,
+        batches: Vec::new(),
+        responses: Vec::new(),
+        faults: Vec::new(),
+        failed: None,
+    };
+    let plan = match Plan::prepare(&mut lane.session) {
+        Ok(plan) => plan,
+        Err(e) => {
+            run.failed = Some(e);
+            return run;
+        }
+    };
+    let fault = lane.session.tenancy().map(|t| AuditEvent::WindowFault {
+        tenant: t.tenant,
+        slot: t.slot,
+    });
+    let encrypt_output = lane.workload.encrypt_output();
+    let mut parity = 0usize;
+
+    while !lane.queue.is_empty() {
+        let mut batch = Batch::coalesce(&mut lane.queue, &plan, lane.buffers.capacity(), max_batch);
+        let outcome = batch.execute(
+            lane.session.bed_mut(),
+            &plan,
+            lane.buffers,
+            parity,
+            encrypt_output,
+        );
+        if let Some(event) = &fault {
+            run.faults
+                .extend(std::iter::repeat_n(event.clone(), batch.window_faults));
+        }
+        for (member, output) in batch.members.iter().zip(batch.outputs) {
+            let response = match (output, &outcome) {
+                (Some(response), _) => response,
+                (None, Err(e)) => Err(e.clone()),
+                (None, Ok(())) => Err(SalusError::Malformed("request produced no output")),
+            };
+            run.responses.push((member.id, response));
+        }
+        if let Err(e) = outcome {
+            run.failed = Some(e);
+            break;
+        }
+        run.batches.push(ExecutedBatch {
+            lane: index,
+            bus: lane.bus,
+            cipher_bytes: batch.packed.len(),
+            reg_ops: batch.reg_ops,
+            compute_bytes: batch.compute_bytes,
+            dout_bytes: batch.dout_bytes,
+            requests: batch.members.iter().map(|m| (m.id, m.arrival)).collect(),
+        });
+        parity ^= 1;
+    }
+    run
 }
 
 /// The serial baseline schedule: every request pays its own key

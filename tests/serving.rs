@@ -8,14 +8,25 @@
 //! differential tests pin that across seeds and fleet layouts; the
 //! backpressure tests pin the bounded-queue contract (typed
 //! `Overloaded` rejection, no drops, no reordering of accepted
-//! requests).
+//! requests). The two-board tests queue enough bytes that each board's
+//! lanes drain on their own thread, and pin what that must not change:
+//! responses, the drain's error contract, the order of window-fault
+//! audit records, and reproducibility under a fabric fault plane.
 
-use salus::accel::apps::affine::Affine;
+use std::time::Duration;
+
+use salus::accel::apps::affine::{Affine, AffineMatrix};
 use salus::accel::apps::conv::Conv;
+use salus::accel::profile::AppProfile;
 use salus::accel::workload::{WithInput, Workload};
-use salus::node::SalusNode;
+use salus::bitstream::netlist::Module;
+use salus::core::platform::AuditEvent;
+use salus::core::SalusError;
+use salus::net::adversary::BitFlipper;
+use salus::net::fault::{FaultPlane, FaultSpec};
+use salus::node::{node_geometry, SalusNode};
 use salus::serving::{
-    ClientId, ExecutionMode, ResponseHandle, ServeCostModel, ServeError, ServingConfig,
+    ClientId, ExecutionMode, LaneId, ResponseHandle, ServeCostModel, ServeError, ServingConfig,
     ServingPlane,
 };
 use salus::session::MemoryProtection;
@@ -283,4 +294,318 @@ fn a_short_payload_on_one_lane_does_not_disturb_the_drain() {
             affine.compute(&payload)
         );
     }
+}
+
+/// A 64 KiB Affine request: four lanes of a few of these queue more
+/// than `parallel::MIN_BYTES_PER_THREAD`, so a drain splits by board.
+fn bulk_affine() -> Affine {
+    Affine::new(256, AffineMatrix::demo())
+}
+
+/// Deploys `workload` on every slot of a 2×2 node, one lane each.
+fn two_board_lanes(
+    node: &SalusNode,
+    plane: &mut ServingPlane,
+    workload: &dyn Workload,
+    protection: impl Fn(usize) -> MemoryProtection,
+) -> Vec<LaneId> {
+    (0..4)
+        .map(|slot| {
+            let tenant = node.register_tenant(&format!("tenant{slot}"));
+            let session = node
+                .deploy_protected(tenant, workload, protection(slot))
+                .expect("deploy");
+            plane.attach(session, workload)
+        })
+        .collect()
+}
+
+#[test]
+fn bulk_requests_on_two_boards_match_the_cpu_reference() {
+    // Enough bytes that each board's lanes run on their own thread;
+    // one lane verifies Merkle roots on both buffers.
+    let workload = bulk_affine();
+    for seed in [1u64, 7] {
+        let node = SalusNode::quick(2, 2).expect("provision");
+        let mut plane = ServingPlane::new(ServingConfig::pipelined(3));
+        let lanes = two_board_lanes(&node, &mut plane, &workload, |slot| {
+            if slot == 3 {
+                MemoryProtection::ConfidentialityAndIntegrity
+            } else {
+                MemoryProtection::Confidentiality
+            }
+        });
+        let mut gen = PayloadGen(seed);
+        let mut submitted = Vec::new();
+        for r in 0..4 {
+            for &lane in &lanes {
+                let payload = gen.payload(&workload);
+                let handle = plane
+                    .submit(lane, ClientId(r), payload.clone())
+                    .expect("queue has room");
+                submitted.push((handle, payload));
+            }
+        }
+        let report = plane.drain().expect("drain");
+        assert_eq!(report.requests, submitted.len());
+        for (handle, payload) in submitted {
+            assert_eq!(
+                plane.take(handle).expect("response"),
+                workload.compute(&payload),
+                "seed {seed}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_broken_register_link_fails_its_batch_and_drops_no_request() {
+    // Small requests take the single-threaded pass, bulk ones the
+    // per-board threads; the error contract is the same on both.
+    let small = Conv::paper_scale();
+    let bulk = bulk_affine();
+    for workload in [&small as &dyn Workload, &bulk] {
+        let node = SalusNode::quick(2, 2).expect("provision");
+        let mut plane = ServingPlane::new(ServingConfig::pipelined(2));
+        let mut lanes = Vec::new();
+        let mut reg_links = Vec::new();
+        for slot in 0..4 {
+            let tenant = node.register_tenant(&format!("tenant{slot}"));
+            let mut session = node.deploy(tenant, workload).expect("deploy");
+            let bed = session.bed_mut();
+            reg_links.push(bed.fabric.channel(&bed.names.host, &bed.names.fpga));
+            lanes.push(plane.attach(session, workload));
+        }
+        let board: Vec<usize> = lanes
+            .iter()
+            .map(|&lane| plane.lane_tenancy(lane).expect("fleet lane").slot.device)
+            .collect();
+        // The victim is the first lane on the board lane 0 is not on;
+        // its first register write after this crosses a flipped bit.
+        let victim = *lanes
+            .iter()
+            .find(|lane| board[lane.0] != board[0])
+            .expect("two boards");
+        let victim_board = board[victim.0];
+        reg_links[victim.0].interpose(BitFlipper::new(0, 0));
+
+        let mut gen = PayloadGen(3);
+        let mut submitted = Vec::new();
+        for &lane in &lanes {
+            for r in 0..3 {
+                let payload = gen.payload(workload);
+                let handle = plane
+                    .submit(lane, ClientId(r), payload.clone())
+                    .expect("queue has room");
+                submitted.push((handle, payload, r));
+            }
+        }
+
+        let err = plane
+            .drain()
+            .expect_err("the victim's key exchange is tampered");
+        assert!(matches!(err, ServeError::Rejected(_)), "{err:?}");
+        // Still queued: the victim's request after its broken batch of
+        // two, and the later lane on the victim's board.
+        assert_eq!(plane.in_flight(), 1 + 3, "{}", workload.name());
+        for (handle, payload, r) in &submitted {
+            let got = plane.take(*handle);
+            if board[handle.lane.0] != victim_board {
+                assert_eq!(got.expect("other boards ran"), workload.compute(payload));
+            } else if handle.lane == victim && *r < 2 {
+                assert!(
+                    matches!(got, Err(ServeError::Rejected(_))),
+                    "a popped request must be answered, got {got:?}"
+                );
+            } else {
+                assert_eq!(got, Err(ServeError::NotReady(handle.id)), "still queued");
+            }
+        }
+
+        // Fencing answers the victim's queued request; the next drain
+        // serves the rest of its board.
+        let (_, drained) = plane.fence(victim).expect("fence");
+        assert_eq!(drained, 1);
+        plane.drain().expect("the victim's board serves without it");
+        assert_eq!(plane.in_flight(), 0);
+        for (handle, payload, r) in &submitted {
+            if board[handle.lane.0] == victim_board && handle.lane != victim {
+                assert_eq!(
+                    plane.take(*handle).expect("served"),
+                    workload.compute(payload)
+                );
+            } else if handle.lane == victim && *r == 2 {
+                assert_eq!(
+                    plane.take(*handle),
+                    Err(ServeError::SessionFenced { lane: victim })
+                );
+            }
+        }
+    }
+}
+
+/// Echoes its payload, except that a payload starting with `0xFF`
+/// computes an output larger than the board's whole DRAM, which
+/// overflows even an empty staging buffer: the request window-faults.
+/// (Test-only: real workloads keep one output length for any input.)
+#[derive(Clone)]
+struct Overflowing(Conv);
+
+impl Workload for Overflowing {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn input(&self) -> &[u8] {
+        self.0.input()
+    }
+
+    fn compute(&self, input: &[u8]) -> Vec<u8> {
+        if input.first() == Some(&0xFF) {
+            vec![0; node_geometry(2).dram_bytes + 1]
+        } else {
+            input.to_vec()
+        }
+    }
+
+    fn accelerator_module(&self) -> Module {
+        self.0.accelerator_module()
+    }
+
+    fn profile(&self) -> AppProfile {
+        self.0.profile()
+    }
+
+    fn encrypt_output(&self) -> bool {
+        false
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn window_faults_on_two_boards_reach_the_audit_chain_in_lane_order() {
+    let node = SalusNode::quick(2, 2).expect("provision");
+    let workload = Overflowing(Conv::paper_scale());
+    let mut plane = ServingPlane::new(ServingConfig::pipelined(4));
+    plane.audit_to(&node);
+    let lanes = two_board_lanes(&node, &mut plane, &workload, |_| {
+        MemoryProtection::Confidentiality
+    });
+    let tenancy: Vec<_> = lanes
+        .iter()
+        .map(|&lane| plane.lane_tenancy(lane).expect("fleet lane"))
+        .collect();
+    // The first lane on each board faults on its first request of
+    // every drain, so both boards raise a fault each time.
+    let first_on_board: Vec<bool> = (0..lanes.len())
+        .map(|i| {
+            tenancy[..i]
+                .iter()
+                .all(|t| t.slot.device != tenancy[i].slot.device)
+        })
+        .collect();
+    assert_eq!(first_on_board.iter().filter(|&&first| first).count(), 2);
+
+    let mut gen = PayloadGen(11);
+    for drain in 0..24u8 {
+        let mut expected = Vec::new();
+        let mut submitted = Vec::new();
+        for (i, &lane) in lanes.iter().enumerate() {
+            for r in 0..1 + gen.next_u64() % 3 {
+                let faults = (r == 0 && first_on_board[i]) || gen.next_u64().is_multiple_of(3);
+                // 96 KiB each: every drain queues enough to split by board.
+                let mut payload = vec![drain.wrapping_add(i as u8); 96 << 10];
+                payload[0] = if faults { 0xFF } else { 0 };
+                if faults {
+                    expected.push(AuditEvent::WindowFault {
+                        tenant: tenancy[i].tenant,
+                        slot: tenancy[i].slot,
+                    });
+                }
+                let handle = plane
+                    .submit(lane, ClientId(r), payload.clone())
+                    .expect("queue has room");
+                submitted.push((handle, payload, faults));
+            }
+        }
+
+        let before = node.plane().audit_log().len();
+        plane
+            .drain()
+            .expect("window faults are per-request outcomes");
+        let log = node.plane().audit_log();
+        log.verify().expect("chain verifies");
+        let appended: Vec<AuditEvent> = log.records()[before..]
+            .iter()
+            .map(|record| record.entry.clone())
+            .collect();
+        assert_eq!(appended, expected, "drain {drain}");
+        for (handle, payload, faults) in submitted {
+            let got = plane.take(handle);
+            if faults {
+                assert!(
+                    matches!(got, Err(ServeError::Rejected(SalusError::Fpga(_)))),
+                    "drain {drain}: {got:?}"
+                );
+            } else {
+                assert_eq!(got.expect("echo"), payload, "drain {drain}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fault_plane_keeps_bulk_drains_reproducible() {
+    // The plane draws every decision from one RNG against the shared
+    // clock, and a drop breaks the lane whose register message draws
+    // it. Were the drain to race lanes across threads, which lane
+    // breaks, how many messages follow and how far the clock moves
+    // would change from run to run.
+    let run = |seed: u64| {
+        let node = SalusNode::quick(2, 2).expect("provision");
+        let workload = bulk_affine();
+        let mut plane = ServingPlane::new(ServingConfig::pipelined(2));
+        let lanes = two_board_lanes(&node, &mut plane, &workload, |_| {
+            MemoryProtection::Confidentiality
+        });
+        let faults = FaultPlane::new(
+            seed,
+            FaultSpec::default()
+                .with_drop_per_mille(10)
+                .with_delay(150, Duration::from_micros(10), Duration::from_millis(2))
+                .with_duplicate_per_mille(150),
+        );
+        let shared = node.plane().shared();
+        shared.fabric.install_fault_plane(faults.clone());
+
+        let mut gen = PayloadGen(9);
+        let mut handles = Vec::new();
+        for r in 0..2 {
+            for &lane in &lanes {
+                let payload = gen.payload(&workload);
+                handles.push(plane.submit(lane, ClientId(r), payload).expect("room"));
+            }
+        }
+        let failed = plane.drain().err();
+        let responses: Vec<Result<Vec<u8>, ServeError>> = handles
+            .into_iter()
+            .map(|handle| plane.take(handle))
+            .collect();
+        (faults.stats(), shared.clock.now(), failed, responses)
+    };
+    let mut drops = 0;
+    for seed in [5, 6, 7] {
+        let first = run(seed);
+        assert!(
+            first.0.delays > 0 && first.0.duplicates > 0,
+            "seed {seed}: the plane must fire: {:?}",
+            first.0
+        );
+        drops += first.0.drops;
+        assert_eq!(first, run(seed), "seed {seed}");
+    }
+    assert!(drops > 0, "some seed must break a lane");
 }
