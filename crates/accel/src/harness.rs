@@ -9,6 +9,11 @@
 //! accelerator behind the SM logic decrypts, computes and writes back.
 //! The shell sees ciphertext only — which the tests check directly by
 //! snooping DRAM from the shell's position.
+//!
+//! Device-memory protection is the developer's choice (§3.1), so one
+//! controller serves both [`MemoryProtection`]s: confidentiality only,
+//! or confidentiality plus the keyed Merkle roots of
+//! [`crate::integrity`]. [`Plan`] is the host side of the same choice.
 
 use std::sync::Arc;
 
@@ -20,11 +25,12 @@ use salus_core::sm_logic::RegisterDevice;
 use salus_core::SalusError;
 use salus_crypto::ctr::AesCtr256;
 use salus_fpga::device::Device;
-use salus_fpga::geometry::{DeviceGeometry, PartitionGeometry, Resources};
+use salus_fpga::geometry::{DeviceGeometry, DramWindow, PartitionGeometry, Resources};
 use salus_net::latency::LatencyModel;
 
-use salus_fpga::geometry::DramWindow;
-
+use crate::integrity::{
+    stage_execute_verified, IntegrityPlan, VerifiedOutcome, STATUS_INTEGRITY_FAILURE,
+};
 use crate::runner::stream_ivs;
 use crate::workload::Workload;
 
@@ -46,18 +52,41 @@ pub mod regs {
     pub const OUTPUT_OFFSET: u32 = 6;
     /// Write 1 to start; the accelerator runs to completion.
     pub const START: u32 = 7;
-    /// Reads 1 once the run finished.
+    /// 0 = idle, 1 = done, 2 = input integrity failure, 3 = window
+    /// fault.
     pub const STATUS: u32 = 8;
     /// Output length in bytes.
     pub const OUTPUT_LEN: u32 = 9;
     /// Whether the accelerator encrypts its output (Table 4 column).
     pub const ENCRYPT_OUTPUT: u32 = 10;
+    /// Input Merkle root words 0–3 (write; checked only under
+    /// integrity protection).
+    pub const IN_ROOT0: u32 = 16;
+    /// Output Merkle root words 0–3 (read; zero unless the protection
+    /// includes integrity).
+    pub const OUT_ROOT0: u32 = 20;
+    /// Merkle trees the controller has built over an input buffer
+    /// (read): one per START that passes the window check under
+    /// integrity protection, zero without it.
+    pub const STAT_FULL_BUILDS: u32 = 24;
 }
 
 /// Status value reported when a programmed buffer does not fit the
 /// session's DRAM window: the transaction fails closed without touching
 /// a single byte outside the window.
 pub const STATUS_WINDOW_FAULT: u64 = 3;
+
+/// How DMA buffers are protected on the direct memory channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MemoryProtection {
+    /// AES-CTR confidentiality only (the paper's baseline; shell
+    /// tampering corrupts silently).
+    #[default]
+    Confidentiality,
+    /// AES-CTR plus Merkle-root integrity over both buffers (the §3.1
+    /// extension; shell tampering is detected).
+    ConfidentialityAndIntegrity,
+}
 
 /// The window-relative DMA layout every harness transaction uses:
 /// the (encrypted) input buffer sits in the lower half of the session's
@@ -79,130 +108,138 @@ pub struct AcceleratorCtl {
     /// relative to it and accesses outside it fail closed.
     window: DramWindow,
     compute: ComputeFn,
+    protection: MemoryProtection,
     key: [u8; 32],
-    /// AES schedule expanded from `key`, reused across transactions and
-    /// invalidated when the key registers are rewritten.
-    cipher: Option<salus_crypto::aes::Aes256>,
+    /// Schedules and keys expanded from `key`, reused across
+    /// transactions and dropped when the key registers change.
+    plan: Option<Plan>,
+    in_root: [u8; 32],
+    out_root: [u8; 32],
     input_offset: u64,
     input_len: u64,
     output_offset: u64,
     output_len: u64,
     encrypt_output: bool,
     status: u64,
+    full_builds: u64,
 }
 
 impl std::fmt::Debug for AcceleratorCtl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AcceleratorCtl")
+            .field("protection", &self.protection)
             .field("status", &self.status)
             .finish_non_exhaustive()
     }
 }
 
 impl AcceleratorCtl {
-    /// Creates a controller for `device` running `compute` on start,
-    /// with a window spanning the whole DRAM (the standalone
-    /// single-tenant layout).
-    pub fn new(device: Arc<Mutex<Device>>, compute: ComputeFn) -> AcceleratorCtl {
-        let window = DramWindow::whole_device(device.lock().dram_len());
-        Self::windowed(device, window, compute)
-    }
-
     /// Creates a controller whose DMA engine is confined to `window`
-    /// (the multi-tenant layout: one window per co-resident partition).
+    /// (one window per co-resident partition) and that protects its
+    /// buffers with `protection`.
     pub fn windowed(
         device: Arc<Mutex<Device>>,
         window: DramWindow,
         compute: ComputeFn,
+        protection: MemoryProtection,
     ) -> AcceleratorCtl {
         AcceleratorCtl {
             device,
             window,
             compute,
+            protection,
             key: [0; 32],
-            cipher: None,
+            plan: None,
+            in_root: [0; 32],
+            out_root: [0; 32],
             input_offset: 0,
             input_len: 0,
             output_offset: 0,
             output_len: 0,
             encrypt_output: false,
             status: 0,
+            full_builds: 0,
         }
     }
 
-    /// The DRAM window this controller is confined to.
-    pub fn window(&self) -> DramWindow {
-        self.window
-    }
-
-    fn run(&mut self) {
+    /// One START: window-checked read → (verify) → decrypt → compute →
+    /// encrypt → window-checked write. Returns the STATUS value.
+    fn run(&mut self) -> u64 {
+        self.output_len = 0;
         // Translate the programmed window-relative offsets before
         // touching DRAM; a buffer that does not fit the window fails
         // closed with a status code instead of reaching a neighbour.
-        let abs_input = match self
+        let Ok(abs_input) = self
             .window
             .to_absolute(self.input_offset as usize, self.input_len as usize)
-        {
-            Ok(abs) => abs,
-            Err(_) => {
-                self.status = STATUS_WINDOW_FAULT;
-                self.output_len = 0;
-                return;
+        else {
+            return STATUS_WINDOW_FAULT;
+        };
+        let plan = self.plan.get_or_insert_with(|| {
+            Plan::with(RunPlan::from_key(self.key, self.window), self.protection)
+        });
+        // One snapshot: the root is checked over exactly the bytes that
+        // are then decrypted and computed on.
+        let mut data = self
+            .device
+            .lock()
+            .dram_read(abs_input, self.input_len as usize)
+            .expect("window-validated range");
+        if let Plan::Verified(p) = plan {
+            // Verify DRAM contents against the root received over the
+            // secure register channel before trusting a single byte.
+            self.full_builds += 1;
+            if p.root(&data) != self.in_root {
+                return STATUS_INTEGRITY_FAILURE;
             }
-        };
-        let (iv_in, iv_out) = stream_ivs(&self.key);
-        let cipher = self
-            .cipher
-            .get_or_insert_with(|| salus_crypto::aes::Aes256::new(&self.key))
-            .clone();
-        let mut input = {
-            let device = self.device.lock();
-            device
-                .dram_read(abs_input, self.input_len as usize)
-                .expect("window-validated range")
-        };
-        // The AES engine at the memory interface decrypts inbound data.
-        AesCtr256::from_cipher(cipher.clone(), &iv_in).apply_keystream_parallel(&mut input);
-        let mut output = (self.compute)(&input);
-        if self.encrypt_output {
-            AesCtr256::from_cipher(cipher, &iv_out).apply_keystream_parallel(&mut output);
         }
-        let abs_output = match self
+        // The AES engine at the memory interface decrypts inbound data.
+        let run = plan.run_plan();
+        run.ctr(&run.iv_in).apply_keystream_parallel(&mut data);
+        let mut output = (self.compute)(&data);
+        if self.encrypt_output {
+            run.ctr(&run.iv_out).apply_keystream_parallel(&mut output);
+        }
+        let Ok(abs_output) = self
             .window
             .to_absolute(self.output_offset as usize, output.len())
-        {
-            Ok(abs) => abs,
-            Err(_) => {
-                self.status = STATUS_WINDOW_FAULT;
-                self.output_len = 0;
-                return;
-            }
+        else {
+            return STATUS_WINDOW_FAULT;
         };
-        self.output_len = output.len() as u64;
+        if let Plan::Verified(p) = plan {
+            self.out_root = p.root(&output);
+        }
         self.device
             .lock()
             .dram_write(abs_output, &output)
             .expect("window-validated range");
-        self.status = 1;
+        self.output_len = output.len() as u64;
+        1
     }
 }
 
 impl RegisterDevice for AcceleratorCtl {
     fn write_reg(&mut self, addr: u32, value: u64) {
+        let word = value.to_le_bytes();
         match addr {
             regs::KEY0..=regs::KEY3 => {
                 let i = addr as usize * 8;
-                self.key[i..i + 8].copy_from_slice(&value.to_le_bytes());
-                self.cipher = None; // schedule must be re-expanded
+                // Rewriting the same key (every batch re-programs it)
+                // keeps the expanded schedules.
+                if self.key[i..i + 8] != word {
+                    self.key[i..i + 8].copy_from_slice(&word);
+                    self.plan = None;
+                }
+            }
+            regs::IN_ROOT0..=19 => {
+                let i = (addr - regs::IN_ROOT0) as usize * 8;
+                self.in_root[i..i + 8].copy_from_slice(&word);
             }
             regs::INPUT_OFFSET => self.input_offset = value,
             regs::INPUT_LEN => self.input_len = value,
             regs::OUTPUT_OFFSET => self.output_offset = value,
             regs::ENCRYPT_OUTPUT => self.encrypt_output = value != 0,
-            regs::START if value == 1 => {
-                self.status = 0;
-                self.run();
-            }
+            regs::START if value == 1 => self.status = self.run(),
             _ => {}
         }
     }
@@ -211,7 +248,13 @@ impl RegisterDevice for AcceleratorCtl {
         match addr {
             regs::STATUS => self.status,
             regs::OUTPUT_LEN => self.output_len,
-            // Key registers are write-only: reads return zero.
+            regs::OUT_ROOT0..=23 => {
+                let i = (addr - regs::OUT_ROOT0) as usize * 8;
+                u64::from_le_bytes(self.out_root[i..i + 8].try_into().expect("8"))
+            }
+            regs::STAT_FULL_BUILDS => self.full_builds,
+            // Key and input-root registers are write-only: reads
+            // return zero.
             _ => 0,
         }
     }
@@ -238,35 +281,15 @@ pub fn harness_geometry() -> DeviceGeometry {
 }
 
 /// Provisions and securely boots a bed carrying `workload`'s
-/// accelerator, then installs the accelerator behaviour behind the SM
-/// logic.
+/// accelerator, then installs the accelerator behind the SM logic under
+/// `protection`.
 ///
 /// # Errors
 ///
 /// Propagates boot failures.
-pub fn boot_with_workload(workload: &dyn Workload) -> Result<TestBed, SalusError> {
-    let compute = workload_compute_fn(workload);
-    boot_with_ctl(workload, move |bed| {
-        Box::new(AcceleratorCtl::windowed(
-            bed.shell.device(),
-            bed.dram_window,
-            compute,
-        ))
-    })
-}
-
-/// Boots a bed for `workload` and installs the accelerator controller
-/// `ctl` builds from the booted bed. Shared by the plain and the
-/// integrity boot helpers so both channels provision identically; the
-/// closure receives the bed because controllers need its device handle
-/// and DRAM window.
-///
-/// # Errors
-///
-/// Propagates boot failures.
-pub fn boot_with_ctl(
+pub fn boot_with_workload(
     workload: &dyn Workload,
-    ctl: impl FnOnce(&TestBed) -> Box<dyn RegisterDevice>,
+    protection: MemoryProtection,
 ) -> Result<TestBed, SalusError> {
     let config = TestBedConfig {
         geometry: harness_geometry(),
@@ -277,24 +300,38 @@ pub fn boot_with_ctl(
     };
     let mut bed = TestBed::provision(config);
     secure_boot(&mut bed, BootPlan::single())?;
-
-    let accelerator = ctl(&bed);
-    bed.sm_logic
-        .as_mut()
-        .expect("booted")
-        .set_accelerator(accelerator);
+    install_accelerator(&mut bed, workload, protection)?;
     Ok(bed)
 }
 
-/// Wraps a workload's pure compute function as a [`ComputeFn`] for an
-/// accelerator controller.
-pub fn workload_compute_fn(workload: &dyn Workload) -> ComputeFn {
+/// Installs `workload`'s datapath behind a booted bed's SM logic,
+/// confined to the bed's DRAM window and protecting its buffers with
+/// `protection`.
+///
+/// # Errors
+///
+/// [`SalusError::SmLogicUnavailable`] before boot.
+pub fn install_accelerator(
+    bed: &mut TestBed,
+    workload: &dyn Workload,
+    protection: MemoryProtection,
+) -> Result<(), SalusError> {
     let boxed = workload.clone_box();
-    Arc::new(move |input| boxed.compute(input))
+    let ctl = AcceleratorCtl::windowed(
+        bed.shell.device(),
+        bed.dram_window,
+        Arc::new(move |input| boxed.compute(input)),
+        protection,
+    );
+    bed.sm_logic
+        .as_mut()
+        .ok_or(SalusError::SmLogicUnavailable("not booted"))?
+        .set_accelerator(Box::new(ctl));
+    Ok(())
 }
 
-/// Per-session state shared by every staged transaction on the plain
-/// (confidentiality-only) channel: the attested data key, the derived
+/// Per-session state shared by every staged transaction on the
+/// confidentiality-only channel: the attested data key, the derived
 /// stream IVs, and the expanded AES schedule.
 ///
 /// The blocking [`run_on_salus`] loop and the serving-plane executor
@@ -331,14 +368,28 @@ impl RunPlan {
             .data_key()
             .ok_or(SalusError::Malformed("no data key — boot first"))?
             .as_bytes();
+        Ok(RunPlan::from_key(key, bed.dram_window))
+    }
+
+    fn from_key(key: [u8; 32], window: DramWindow) -> RunPlan {
         let (iv_in, iv_out) = stream_ivs(&key);
-        Ok(RunPlan {
+        RunPlan {
             key,
             iv_in,
             iv_out,
             cipher: salus_crypto::aes::Aes256::new(&key),
-            window: bed.dram_window,
-        })
+            window,
+        }
+    }
+
+    /// The data key both protections derive their keys from.
+    pub(crate) fn key(&self) -> &[u8; 32] {
+        &self.key
+    }
+
+    /// A CTR stream at `iv` reusing the expanded schedule.
+    fn ctr(&self, iv: &[u8; 16]) -> AesCtr256 {
+        AesCtr256::from_cipher(self.cipher.clone(), iv)
     }
 
     /// The session window every stage offset is relative to.
@@ -360,13 +411,13 @@ impl RunPlan {
     /// [`encrypt_input`](RunPlan::encrypt_input) over a payload already
     /// copied into its staging buffer.
     pub fn encrypt_input_in_place(&self, payload: &mut [u8]) {
-        AesCtr256::from_cipher(self.cipher.clone(), &self.iv_in).apply_keystream_parallel(payload);
+        self.ctr(&self.iv_in).apply_keystream_parallel(payload);
     }
 
     /// Owner-side decryption of one request's output buffer (only
     /// meaningful when the workload encrypts its output).
     pub fn decrypt_output(&self, output: &mut [u8]) {
-        AesCtr256::from_cipher(self.cipher.clone(), &self.iv_out).apply_keystream_parallel(output);
+        self.ctr(&self.iv_out).apply_keystream_parallel(output);
     }
 }
 
@@ -417,6 +468,17 @@ pub fn stage_dma_in(bed: &mut TestBed, rel: usize, ciphertext: &[u8]) -> Result<
     Ok(())
 }
 
+/// Writes a 32-byte value into the four registers from `base`.
+fn write_words(bed: &mut TestBed, base: u32, bytes: &[u8; 32]) -> Result<(), SalusError> {
+    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
+        bed.secure_reg_write(
+            base + i as u32,
+            u64::from_le_bytes(chunk.try_into().expect("8")),
+        )?;
+    }
+    Ok(())
+}
+
 /// Stage 2a — key exchange over the secure register channel. Once per
 /// batch: adjacent requests multiplexed onto one attested session share
 /// the data key, so the serving plane amortises these four writes.
@@ -425,13 +487,7 @@ pub fn stage_dma_in(bed: &mut TestBed, rel: usize, ciphertext: &[u8]) -> Result<
 ///
 /// Register-channel violations.
 pub fn stage_program_key(bed: &mut TestBed, plan: &RunPlan) -> Result<(), SalusError> {
-    for (i, chunk) in plan.key.chunks_exact(8).enumerate() {
-        bed.secure_reg_write(
-            regs::KEY0 + i as u32,
-            u64::from_le_bytes(chunk.try_into().expect("8")),
-        )?;
-    }
-    Ok(())
+    write_words(bed, regs::KEY0, &plan.key)
 }
 
 /// Stage 2b — compute: programs one request's buffers, starts the
@@ -443,6 +499,24 @@ pub fn stage_program_key(bed: &mut TestBed, plan: &RunPlan) -> Result<(), SalusE
 /// unrecognised status. Window faults are *returned*, not raised, so a
 /// batching executor can repack and retry.
 pub fn stage_execute(bed: &mut TestBed, req: &ExecRequest) -> Result<ExecOutcome, SalusError> {
+    Ok(match execute(bed, req, None)? {
+        VerifiedOutcome::Done { output_len, .. } => ExecOutcome::Done { output_len },
+        VerifiedOutcome::WindowFault { reported_len } => ExecOutcome::WindowFault { reported_len },
+        VerifiedOutcome::InputTampered => unreachable!("no input root was programmed"),
+    })
+}
+
+/// The compute stage of both protections. With an input root, the
+/// root goes first and the output root is read back on success; the
+/// register sequence is otherwise the same.
+pub(crate) fn execute(
+    bed: &mut TestBed,
+    req: &ExecRequest,
+    in_root: Option<&[u8; 32]>,
+) -> Result<VerifiedOutcome, SalusError> {
+    if let Some(in_root) = in_root {
+        write_words(bed, regs::IN_ROOT0, in_root)?;
+    }
     bed.secure_reg_write(regs::INPUT_OFFSET, req.input_offset as u64)?;
     bed.secure_reg_write(regs::INPUT_LEN, req.input_len as u64)?;
     bed.secure_reg_write(regs::OUTPUT_OFFSET, req.output_offset as u64)?;
@@ -452,9 +526,20 @@ pub fn stage_execute(bed: &mut TestBed, req: &ExecRequest) -> Result<ExecOutcome
     match bed.secure_reg_read(regs::STATUS)? {
         1 => {
             let output_len = bed.secure_reg_read(regs::OUTPUT_LEN)? as usize;
-            Ok(ExecOutcome::Done { output_len })
+            let mut out_root = [0u8; 32];
+            if in_root.is_some() {
+                for (i, word) in out_root.chunks_exact_mut(8).enumerate() {
+                    let value = bed.secure_reg_read(regs::OUT_ROOT0 + i as u32)?;
+                    word.copy_from_slice(&value.to_le_bytes());
+                }
+            }
+            Ok(VerifiedOutcome::Done {
+                output_len,
+                out_root,
+            })
         }
-        STATUS_WINDOW_FAULT => Ok(ExecOutcome::WindowFault {
+        STATUS_INTEGRITY_FAILURE if in_root.is_some() => Ok(VerifiedOutcome::InputTampered),
+        STATUS_WINDOW_FAULT => Ok(VerifiedOutcome::WindowFault {
             reported_len: bed.secure_reg_read(regs::OUTPUT_LEN)?,
         }),
         _ => Err(SalusError::Malformed("accelerator did not complete")),
@@ -473,45 +558,183 @@ pub fn stage_dma_out(bed: &mut TestBed, rel: usize, len: usize) -> Result<Vec<u8
     Ok(bed.shell.dma_read_in(window, rel, len)?)
 }
 
-/// Runs `workload` end-to-end on a booted bed and returns the output.
+/// A session's memory protection with the keys its stages use — the
+/// one place the host side branches on [`MemoryProtection`]. The
+/// blocking [`run_on_salus`] and the serving plane both drive requests
+/// through it.
+#[derive(Debug)]
+pub enum Plan {
+    /// Confidentiality only.
+    Plain(RunPlan),
+    /// Confidentiality plus Merkle roots over both buffers.
+    Verified(IntegrityPlan),
+}
+
+impl Plan {
+    /// Captures a booted bed's session keys for `protection`.
+    ///
+    /// # Errors
+    ///
+    /// [`SalusError::Malformed`] before boot (no data key yet).
+    pub fn prepare(bed: &TestBed, protection: MemoryProtection) -> Result<Plan, SalusError> {
+        Ok(Plan::with(RunPlan::prepare(bed)?, protection))
+    }
+
+    fn with(run: RunPlan, protection: MemoryProtection) -> Plan {
+        match protection {
+            MemoryProtection::Confidentiality => Plan::Plain(run),
+            MemoryProtection::ConfidentialityAndIntegrity => {
+                Plan::Verified(IntegrityPlan::from_run(run))
+            }
+        }
+    }
+
+    fn run_plan(&self) -> &RunPlan {
+        match self {
+            Plan::Plain(p) => p,
+            Plan::Verified(p) => p.run_plan(),
+        }
+    }
+
+    /// Encrypts one staged payload in place; returns its input root
+    /// (zeros without integrity).
+    pub fn encrypt_input(&self, staged: &mut [u8]) -> [u8; 32] {
+        match self {
+            Plan::Plain(p) => {
+                p.encrypt_input_in_place(staged);
+                [0; 32]
+            }
+            Plan::Verified(p) => p.encrypt_input_in_place(staged),
+        }
+    }
+
+    /// The key exchange: the same four writes under both protections.
+    ///
+    /// # Errors
+    ///
+    /// Register-channel violations.
+    pub fn program_key(&self, bed: &mut TestBed) -> Result<(), SalusError> {
+        stage_program_key(bed, self.run_plan())
+    }
+
+    /// Programs and runs one request. `in_root` is sent only under
+    /// integrity protection, and [`VerifiedOutcome::InputTampered`] can
+    /// only come from there.
+    ///
+    /// # Errors
+    ///
+    /// Register-channel violations; [`SalusError::Malformed`] on an
+    /// unrecognised status.
+    pub fn execute(
+        &self,
+        bed: &mut TestBed,
+        req: &ExecRequest,
+        in_root: &[u8; 32],
+    ) -> Result<VerifiedOutcome, SalusError> {
+        match self {
+            Plan::Plain(_) => execute(bed, req, None),
+            Plan::Verified(_) => stage_execute_verified(bed, req, in_root),
+        }
+    }
+
+    /// Secure register transactions one [`execute`](Plan::execute) call
+    /// spent to reach `outcome`: the input root (integrity only), four
+    /// programming writes, START and STATUS; then OUTPUT_LEN unless the
+    /// input was refused, and the output root after a verified run.
+    pub fn exec_reg_ops(&self, outcome: &VerifiedOutcome) -> u32 {
+        let roots = match self {
+            Plan::Plain(_) => 0,
+            Plan::Verified(_) => 4,
+        };
+        roots
+            + 6
+            + match outcome {
+                VerifiedOutcome::Done { .. } => 1 + roots,
+                VerifiedOutcome::WindowFault { .. } => 1,
+                VerifiedOutcome::InputTampered => 0,
+            }
+    }
+
+    /// Turns one read-back output into plaintext: verified against its
+    /// root under integrity protection, decrypted if the workload
+    /// encrypts output.
+    ///
+    /// # Errors
+    ///
+    /// [`SalusError::RegisterChannelViolation`] ("output integrity")
+    /// when the output does not match its root.
+    pub fn open_output(
+        &self,
+        output: &mut [u8],
+        out_root: &[u8; 32],
+        encrypt_output: bool,
+    ) -> Result<(), SalusError> {
+        match self {
+            Plan::Plain(p) => {
+                if encrypt_output {
+                    p.decrypt_output(output);
+                }
+                Ok(())
+            }
+            Plan::Verified(p) => p.verify_output(output, out_root, encrypt_output),
+        }
+    }
+}
+
+/// Runs `workload` end-to-end on a booted bed under `protection` — the
+/// one the bed's controller was installed with — and returns the
+/// output.
 ///
 /// This is the *blocking* serial loop: it pushes one transaction
 /// through DMA-in → compute → DMA-out and does not return until the
-/// output is read back, leaving the shell idle between phases. It is
-/// expressed entirely in terms of the resumable stage functions above;
-/// the pipelined serving plane (`salus::serving`) interleaves the same
-/// stages across queued requests and co-resident sessions.
+/// output is read back (and verified), leaving the shell idle between
+/// phases. It is expressed entirely in terms of [`Plan`] and the stage
+/// functions; the pipelined serving plane (`salus::serving`)
+/// interleaves the same stages across queued requests and co-resident
+/// sessions.
 ///
 /// # Errors
 ///
-/// Propagates register-channel and DMA failures.
-pub fn run_on_salus(bed: &mut TestBed, workload: &dyn Workload) -> Result<Vec<u8>, SalusError> {
-    let plan = RunPlan::prepare(bed)?;
+/// Register-channel and DMA failures;
+/// [`SalusError::RegisterChannelViolation`] with "input integrity" or
+/// "output integrity" when integrity protection caught the shell
+/// tampering with a buffer.
+pub fn run_on_salus(
+    bed: &mut TestBed,
+    workload: &dyn Workload,
+    protection: MemoryProtection,
+) -> Result<Vec<u8>, SalusError> {
+    let plan = Plan::prepare(bed, protection)?;
 
     // Owner side: encrypt the input with the attested data key.
-    let ciphertext = plan.encrypt_input(workload.input());
+    let mut ciphertext = workload.input().to_vec();
+    let in_root = plan.encrypt_input(&mut ciphertext);
 
     // Direct (unsecure) memory channel: window-confined DMA through the
     // shell. Offsets — here and in the registers below — are relative
     // to the session's window, so co-resident tenants on one board
     // never address each other's bytes.
-    let window = plan.window();
+    let window = bed.dram_window;
     let (input_offset, output_offset) = window_io_offsets(window);
     stage_dma_in(bed, input_offset, &ciphertext)?;
 
     // Secure register channel: key exchange + control.
-    stage_program_key(bed, &plan)?;
-    let output_len = match stage_execute(
-        bed,
-        &ExecRequest {
-            input_offset,
-            input_len: workload.input().len(),
-            output_offset,
-            encrypt_output: workload.encrypt_output(),
-        },
-    )? {
-        ExecOutcome::Done { output_len } => output_len,
-        ExecOutcome::WindowFault { reported_len } => {
+    plan.program_key(bed)?;
+    let req = ExecRequest {
+        input_offset,
+        input_len: workload.input().len(),
+        output_offset,
+        encrypt_output: workload.encrypt_output(),
+    };
+    let (output_len, out_root) = match plan.execute(bed, &req, &in_root)? {
+        VerifiedOutcome::Done {
+            output_len,
+            out_root,
+        } => (output_len, out_root),
+        VerifiedOutcome::InputTampered => {
+            return Err(SalusError::RegisterChannelViolation("input integrity"));
+        }
+        VerifiedOutcome::WindowFault { reported_len } => {
             return Err(SalusError::Fpga(salus_fpga::FpgaError::DmaOutOfWindow {
                 offset: output_offset as u64,
                 len: reported_len,
@@ -521,9 +744,7 @@ pub fn run_on_salus(bed: &mut TestBed, workload: &dyn Workload) -> Result<Vec<u8
     };
 
     let mut output = stage_dma_out(bed, output_offset, output_len)?;
-    if workload.encrypt_output() {
-        plan.decrypt_output(&mut output);
-    }
+    plan.open_output(&mut output, &out_root, workload.encrypt_output())?;
     Ok(output)
 }
 
@@ -532,20 +753,24 @@ mod tests {
     use super::*;
     use crate::apps::affine::Affine;
     use crate::apps::conv::Conv;
+    use salus_net::adversary::Snooper;
+
+    const PLAIN: MemoryProtection = MemoryProtection::Confidentiality;
+    const VERIFIED: MemoryProtection = MemoryProtection::ConfidentialityAndIntegrity;
 
     #[test]
     fn conv_end_to_end_on_salus_matches_reference() {
         let workload = Conv::paper_scale();
-        let mut bed = boot_with_workload(&workload).unwrap();
-        let output = run_on_salus(&mut bed, &workload).unwrap();
+        let mut bed = boot_with_workload(&workload, PLAIN).unwrap();
+        let output = run_on_salus(&mut bed, &workload, PLAIN).unwrap();
         assert_eq!(output, workload.compute(workload.input()));
     }
 
     #[test]
     fn shell_sees_only_ciphertext_in_dram() {
         let workload = Affine::paper_scale();
-        let mut bed = boot_with_workload(&workload).unwrap();
-        let output = run_on_salus(&mut bed, &workload).unwrap();
+        let mut bed = boot_with_workload(&workload, PLAIN).unwrap();
+        let output = run_on_salus(&mut bed, &workload, PLAIN).unwrap();
         assert_eq!(output, workload.compute(workload.input()));
 
         // The shell snoops both buffers: neither contains plaintext.
@@ -560,9 +785,9 @@ mod tests {
         // DRAM integrity is the developer's responsibility per §3.1;
         // with CTR-only protection tampering flips plaintext bits. The
         // harness demonstrates the attack surface exists (motivation for
-        // the `integrity` module's Merkle-protected channel).
+        // the `integrity` module's Merkle roots).
         let workload = Conv::paper_scale();
-        let bed = boot_with_workload(&workload).unwrap();
+        let bed = boot_with_workload(&workload, PLAIN).unwrap();
         let key = *bed.user_app.data_key().unwrap().as_bytes();
         let (iv_in, _) = stream_ivs(&key);
         let mut ciphertext = workload.input().to_vec();
@@ -576,8 +801,78 @@ mod tests {
     #[test]
     fn key_registers_are_write_only() {
         let workload = Conv::paper_scale();
-        let mut bed = boot_with_workload(&workload).unwrap();
+        let mut bed = boot_with_workload(&workload, PLAIN).unwrap();
         bed.secure_reg_write(regs::KEY0, 0xDEAD_BEEF).unwrap();
         assert_eq!(bed.secure_reg_read(regs::KEY0).unwrap(), 0);
+    }
+
+    #[test]
+    fn charged_register_ops_match_the_sealed_messages_sent() {
+        // The serving plane prices a request's compute stage at
+        // `exec_reg_ops` secure register transactions. Count the sealed
+        // messages the host actually puts on its register link for
+        // every outcome under both protections.
+        let workload = Conv::paper_scale();
+        for protection in [PLAIN, VERIFIED] {
+            let mut bed = boot_with_workload(&workload, protection).unwrap();
+            let plan = Plan::prepare(&bed, protection).unwrap();
+            let mut ciphertext = workload.input().to_vec();
+            let in_root = plan.encrypt_input(&mut ciphertext);
+            let (input_offset, output_offset) = window_io_offsets(bed.dram_window);
+            let request = ExecRequest {
+                input_offset,
+                input_len: ciphertext.len(),
+                output_offset,
+                encrypt_output: workload.encrypt_output(),
+            };
+            let out_of_window = ExecRequest {
+                output_offset: bed.dram_window.len - 1,
+                ..request
+            };
+            stage_dma_in(&mut bed, input_offset, &ciphertext).unwrap();
+            plan.program_key(&mut bed).unwrap();
+
+            let link = bed
+                .fabric
+                .channel(&bed.names.host, &bed.names.fpga)
+                .interpose(Snooper::new());
+            let mut seen = Vec::new();
+            let mut step = |bed: &mut TestBed, req: &ExecRequest, tamper: bool| {
+                if tamper {
+                    let abs = bed.dram_window.base + input_offset;
+                    bed.shell.tamper_dram(abs + 5, &[0xFF]).unwrap();
+                }
+                let sent = link.with(|s| s.observed.len());
+                let outcome = plan.execute(bed, req, &in_root).unwrap();
+                let sent = link.with(|s| s.observed.len()) - sent;
+                assert_eq!(
+                    sent,
+                    plan.exec_reg_ops(&outcome) as usize,
+                    "{protection:?}: {outcome:?}"
+                );
+                seen.push(std::mem::discriminant(&outcome));
+            };
+            step(&mut bed, &request, false);
+            step(&mut bed, &out_of_window, false);
+            // The tampered input is refused under integrity and run on
+            // garbage without it.
+            step(&mut bed, &request, true);
+
+            let done = VerifiedOutcome::Done {
+                output_len: 0,
+                out_root: [0; 32],
+            };
+            let fault = VerifiedOutcome::WindowFault { reported_len: 0 };
+            let tampered = if protection == PLAIN {
+                done
+            } else {
+                VerifiedOutcome::InputTampered
+            };
+            assert_eq!(
+                seen,
+                [done, fault, tampered].map(|o| std::mem::discriminant(&o)),
+                "{protection:?}"
+            );
+        }
     }
 }

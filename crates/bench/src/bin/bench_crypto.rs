@@ -355,8 +355,8 @@ fn main() {
     //
     // The serving plane's per-request integrity cost is dominated by
     // Merkle hashing over the DRAM window; these sections record the
-    // primitives and the full-rebuild vs incremental-refresh gap the
-    // `IntegritySession` exploits.
+    // primitives and the full-rebuild vs incremental-refresh gap of
+    // the `MerkleTree::update_chunks` library primitive.
     println!("Integrity hash path (1 MiB window, {MERKLE_CHUNK}-byte chunks)\n");
     let window: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
     let merkle_key = [0x42u8; 32];
@@ -412,7 +412,7 @@ fn main() {
         "speedup_vs_full_rebuild": incremental_speedup,
         "unit": "µs",
     }));
-    // The acceptance bar for the integrity session: a 1-chunk refresh
+    // The acceptance bar for `update_chunks`: a 1-chunk refresh
     // must beat a full rebuild by an order of magnitude at 1 MiB.
     assert!(
         incremental_speedup >= 10.0,

@@ -17,12 +17,6 @@ use crate::FpgaError;
 /// FAR partition code addressing the static (shell) region.
 pub const STATIC_PARTITION: usize = 0x7F;
 
-/// Capacity of the bounded DRAM write log. Old records are pruned once
-/// the log is full; readers whose cursor falls off the retained window
-/// get `None` from [`Device::dram_writes_since`] and must fall back to
-/// treating the whole DRAM as dirty.
-pub const DRAM_WRITE_LOG_CAP: usize = 4096;
-
 /// A simulated FPGA board.
 #[derive(Debug, Clone)]
 pub struct Device {
@@ -33,14 +27,6 @@ pub struct Device {
     static_region: ConfigMemory,
     partitions: Vec<ConfigMemory>,
     dram: Vec<u8>,
-    /// Bounded log of `(offset, len)` for every DRAM write, the basis of
-    /// integrity-session dirty tracking. Because *all* writes land here
-    /// — DMA fills, window-confined DMA, the accelerator's own output,
-    /// and adversarial tampering alike — a verifier that re-hashes
-    /// exactly the logged ranges since its last sync misses nothing.
-    dram_log: std::collections::VecDeque<(usize, usize)>,
-    /// Sequence number of the oldest retained `dram_log` record.
-    dram_log_base: u64,
 }
 
 impl Device {
@@ -60,8 +46,6 @@ impl Device {
                 .map(|p| ConfigMemory::blank(*p))
                 .collect(),
             dram: vec![0; geometry.dram_bytes],
-            dram_log: std::collections::VecDeque::new(),
-            dram_log_base: 0,
             geometry,
         }
     }
@@ -88,13 +72,6 @@ impl Device {
     pub fn dram_write(&mut self, offset: usize, data: &[u8]) -> Result<(), FpgaError> {
         let range = self.dram_range(offset, data.len())?;
         self.dram[range].copy_from_slice(data);
-        if !data.is_empty() {
-            if self.dram_log.len() == DRAM_WRITE_LOG_CAP {
-                self.dram_log.pop_front();
-                self.dram_log_base += 1;
-            }
-            self.dram_log.push_back((offset, data.len()));
-        }
         Ok(())
     }
 
@@ -115,26 +92,6 @@ impl Device {
     /// DRAM capacity in bytes.
     pub fn dram_len(&self) -> usize {
         self.dram.len()
-    }
-
-    /// Sequence number of the *next* DRAM write — the cursor an
-    /// integrity session records when its Merkle tree is known to match
-    /// the DRAM contents.
-    pub fn dram_write_seq(&self) -> u64 {
-        self.dram_log_base + self.dram_log.len() as u64
-    }
-
-    /// Every `(offset, len)` written to DRAM at or after write `seq`, in
-    /// order, or `None` if the bounded log has pruned records past that
-    /// cursor (or the cursor is from another device's timeline). `None`
-    /// means the caller has lost track of what changed and must treat
-    /// the whole region as dirty.
-    pub fn dram_writes_since(&self, seq: u64) -> Option<Vec<(usize, usize)>> {
-        if seq < self.dram_log_base || seq > self.dram_write_seq() {
-            return None;
-        }
-        let skip = (seq - self.dram_log_base) as usize;
-        Some(self.dram_log.iter().skip(skip).copied().collect())
     }
 
     /// Swaps in the COTS ICAP with readback enabled (for the
@@ -536,45 +493,14 @@ mod tests {
         }
         assert!(shell.snoop_dram(1, usize::MAX).is_err());
         assert!(shell.dma_read(usize::MAX, usize::MAX).is_err());
-        // Nothing refused was logged as a write.
-        assert_eq!(shell.device().lock().dram_write_seq(), 0);
-    }
-
-    #[test]
-    fn dram_write_log_tracks_every_write() {
-        let mut d = tiny_device();
-        let base = d.dram_write_seq();
-        d.dram_write(0, &[1u8; 8]).unwrap();
-        d.dram_write(100, &[2u8; 16]).unwrap();
-        d.dram_write(50, &[]).unwrap(); // empty writes change nothing
-        assert_eq!(d.dram_write_seq(), base + 2);
-        assert_eq!(
-            d.dram_writes_since(base).unwrap(),
-            vec![(0usize, 8usize), (100, 16)]
-        );
-        assert_eq!(d.dram_writes_since(base + 1).unwrap(), vec![(100, 16)]);
-        assert_eq!(d.dram_writes_since(base + 2).unwrap(), Vec::new());
-        // A failed (out-of-bounds) write is not logged.
-        let len = d.dram_len();
-        assert!(d.dram_write(len - 1, &[0u8; 4]).is_err());
-        assert_eq!(d.dram_write_seq(), base + 2);
-    }
-
-    #[test]
-    fn dram_write_log_prunes_to_capacity() {
-        let mut d = tiny_device();
-        let base = d.dram_write_seq();
-        for i in 0..DRAM_WRITE_LOG_CAP + 10 {
-            d.dram_write(i % 32, &[0u8; 1]).unwrap();
-        }
-        // The earliest cursor has fallen off the retained window.
-        assert_eq!(d.dram_writes_since(base), None);
-        assert_eq!(d.dram_writes_since(base + 9), None);
-        let survivors = d.dram_writes_since(base + 10).unwrap();
-        assert_eq!(survivors.len(), DRAM_WRITE_LOG_CAP);
-        // A cursor from the future (another device's timeline) is also
-        // refused rather than silently truncated.
-        assert_eq!(d.dram_writes_since(d.dram_write_seq() + 1), None);
+        // Nothing refused reached DRAM.
+        let device = shell.device();
+        let device = device.lock();
+        assert!(device
+            .dram_read(0, device.dram_len())
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
     }
 
     #[test]

@@ -297,8 +297,10 @@ impl FaultPlane {
     }
 
     /// Decides the fate of one message from `src` to `dst` sent at
-    /// virtual time `now_ns`. Advances the decision stream: callers must
-    /// invoke this exactly once per message, in message order.
+    /// virtual time `now_ns`. Advances the decision stream — one draw
+    /// per message outside an outage, two when a delay fires — so
+    /// callers must invoke this exactly once per message, in message
+    /// order.
     pub fn decide(&self, src: &str, dst: &str, now_ns: u64) -> FaultAction {
         let mut stats = self.inner.stats.lock();
         stats.messages += 1;
@@ -314,8 +316,12 @@ impl FaultPlane {
             return FaultAction::Drop;
         }
 
-        // One draw per message keeps the stream length independent of
-        // which branch fires — a reproducibility requirement.
+        // Every message outside an outage draws one roll, whichever
+        // branch it picks; a fired delay draws a second value for its
+        // length. The stream therefore depends on which branches fired:
+        // two specs that differ only in, say, drop rate see the same
+        // rolls only until the first delay fires. Reproducibility holds
+        // per (seed, spec, message order).
         let roll = self.inner.rng.lock().below(1000) as u32;
         let mut threshold = spec.drop_per_mille;
         if roll < threshold {
@@ -525,6 +531,30 @@ mod tests {
         assert_eq!(da, db);
         assert_eq!(a.stats(), b.stats());
         assert!(a.stats().total() > 0, "schedule injects something");
+    }
+
+    #[test]
+    fn a_fired_delay_draws_once_more_for_its_length() {
+        // Drops draw only the roll; a delay draws its length next, so it
+        // shifts every later roll by one. Moving either draw moves every
+        // seeded chaos pin.
+        let (min, max) = (Duration::from_millis(1), Duration::from_millis(9));
+        let span = (max - min).as_nanos() as u64;
+        let spec = FaultSpec::default()
+            .with_drop_per_mille(500)
+            .with_delay(500, min, max);
+        let plane = FaultPlane::new(11, spec);
+        let mut stream = SplitMix64::new(11);
+        for _ in 0..64 {
+            let expected = if stream.below(1000) < 500 {
+                FaultAction::Drop
+            } else {
+                FaultAction::Delay(min + Duration::from_nanos(stream.below(span)))
+            };
+            assert_eq!(plane.decide("a", "b", 0), expected);
+        }
+        let stats = plane.stats();
+        assert!(stats.drops > 0 && stats.delays > 0, "{stats:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use salus::accel::apps::conv::Conv;
-use salus::accel::harness::{boot_with_workload, run_on_salus};
+use salus::accel::harness::{boot_with_workload, run_on_salus, MemoryProtection};
 use salus::accel::runner::{run, ExecMode};
 use salus::accel::workload::Workload;
 
@@ -23,12 +23,14 @@ fn main() {
 
     // 1. Boot a deployment whose CL carries the Conv accelerator + SM
     //    logic, via the full secure flow.
-    let mut bed = boot_with_workload(&workload).expect("secure boot");
+    let mut bed =
+        boot_with_workload(&workload, MemoryProtection::Confidentiality).expect("secure boot");
     println!("platform attested; Key_data released to the user enclave");
 
     // 2. Run the inference: ciphertext DMA in, compute behind the SM
     //    logic, results back.
-    let output = run_on_salus(&mut bed, &workload).expect("accelerated run");
+    let output = run_on_salus(&mut bed, &workload, MemoryProtection::Confidentiality)
+        .expect("accelerated run");
     let reference = workload.compute(workload.input());
     assert_eq!(output, reference, "FPGA TEE result matches reference");
     println!(

@@ -24,7 +24,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use salus_accel::harness;
-use salus_accel::integrity;
 use salus_accel::workload::Workload;
 use salus_core::boot::{BootBreakdown, BootOutcome, BootTrace, CascadeReport};
 use salus_core::platform::{
@@ -303,23 +302,7 @@ impl SalusNode {
         workload: &dyn Workload,
         protection: MemoryProtection,
     ) -> Result<SecureSession, SalusError> {
-        let compute = harness::workload_compute_fn(workload);
-        let device = deployment.bed.shell.device();
-        let window = deployment.window;
-        let ctl: Box<dyn salus_core::sm_logic::RegisterDevice> = match protection {
-            MemoryProtection::Confidentiality => {
-                Box::new(harness::AcceleratorCtl::windowed(device, window, compute))
-            }
-            MemoryProtection::ConfidentialityAndIntegrity => {
-                Box::new(integrity::IntegrityCtl::windowed(device, window, compute))
-            }
-        };
-        deployment
-            .bed
-            .sm_logic
-            .as_mut()
-            .ok_or(SalusError::SmLogicUnavailable("fleet boot did not bind"))?
-            .set_accelerator(ctl);
+        harness::install_accelerator(&mut deployment.bed, workload, protection)?;
         let tenancy = Tenancy {
             tenant: deployment.tenant,
             slot: deployment.slot,

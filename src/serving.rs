@@ -38,13 +38,13 @@
 //!   queued payload) stay on the caller's thread.
 //!
 //! Board-parallel execution is deterministic. A lane's bytes depend
-//! only on its own board: the board's device lock, the device's DRAM
-//! write log (which the integrity controller's incremental Merkle dirty
-//! set reads, so lanes sharing a board stay serial), and the lane's own
-//! register links. The one shared mutable thing a lane touches is the
-//! [`SimClock`], which register transfers only ever *advance* by atomic
-//! additions — its value after the pass is the same on any interleaving,
-//! and nothing in the pass reads it. Workers hand back their batches,
+//! only on its own board: the board's device, whose one mutex every
+//! DMA and accelerator run on the board takes (so lanes sharing a
+//! board stay serial), and the lane's own register links. The one
+//! shared mutable thing a lane touches is the [`SimClock`], which
+//! register transfers only ever *advance* by atomic additions — its
+//! value after the pass is the same on any interleaving, and nothing in
+//! the pass reads it. Workers hand back their batches,
 //! responses and window faults; the caller merges them in lane order, so
 //! the schedule, the report and the audit chain (faults are appended
 //! after the join, stamped at the post-pass clock) are built exactly as
@@ -55,11 +55,11 @@
 //! drain threads leave no long-lived allocation in their own heap.
 //!
 //! Both the blocking loop and this executor drive the *same* resumable
-//! stage functions ([`salus_accel::harness`], [`salus_accel::integrity`]),
-//! and every request's keystream and Merkle roots restart per request,
-//! so a batched, pipelined execution is **byte-identical** to running
-//! each request alone — the differential tests in `tests/serving.rs`
-//! pin this across seeds and co-resident layouts.
+//! stages through [`salus_accel::harness::Plan`], and every request's
+//! keystream and Merkle roots restart per request, so a batched,
+//! pipelined execution is **byte-identical** to running each request
+//! alone — the differential tests in `tests/serving.rs` pin this across
+//! seeds and co-resident layouts.
 //!
 //! ```
 //! use salus::accel::apps::conv::Conv;
@@ -87,14 +87,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use salus_accel::harness::{
-    stage_dma_in, stage_dma_out, stage_execute, stage_program_key, ExecOutcome, ExecRequest,
-    RunPlan,
-};
-use salus_accel::integrity::{
-    regs as integrity_regs, stage_execute_verified, stage_program_key_verified, IntegrityPlan,
-    VerifiedOutcome,
-};
+use salus_accel::harness::{regs, stage_dma_in, stage_dma_out, ExecRequest, Plan};
+use salus_accel::integrity::VerifiedOutcome;
 use salus_accel::workload::Workload;
 use salus_core::instance::TestBed;
 use salus_core::platform::{AuditEvent, ControlPlane};
@@ -104,7 +98,7 @@ use salus_crypto::parallel::MIN_BYTES_PER_THREAD;
 use salus_net::clock::SimClock;
 
 use crate::node::SalusNode;
-use crate::session::{MemoryProtection, SecureSession, Tenancy};
+use crate::session::{SecureSession, Tenancy};
 
 /// A logical client multiplexed onto an attested session. The serving
 /// plane does not authenticate clients — they all ride the session's
@@ -420,18 +414,20 @@ struct ExecutedBatch {
     requests: Vec<(u64, Duration)>,
 }
 
-/// Integrity-session counters read from a lane's controller over the
-/// secure register channel (see
-/// [`ServingPlane::lane_integrity_stats`]). Together they show whether
-/// a lane's root derivations actually ran on the incremental fast
-/// path, without exposing any key material.
+/// Merkle counters of a lane's controller (see
+/// [`ServingPlane::lane_integrity_stats`]), without any key material.
+///
+/// The controller rebuilds the input root from DRAM on every START, so
+/// only `full_builds` moves. `incr_refreshes` and `chunks_rehashed`
+/// always read 0; they stay because the end-to-end benchmark reports
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntegrityStats {
-    /// Full Merkle tree rebuilds the controller performed.
+    /// Full Merkle tree builds over an input buffer.
     pub full_builds: u64,
-    /// Incremental dirty-chunk root refreshes.
+    /// Incremental root refreshes: always 0.
     pub incr_refreshes: u64,
-    /// Total chunks re-hashed across those refreshes.
+    /// Chunks re-hashed by incremental refreshes: always 0.
     pub chunks_rehashed: u64,
 }
 
@@ -610,12 +606,10 @@ impl ServingPlane {
         self.lanes.get(lane.0)?.as_ref()?.session.tenancy()
     }
 
-    /// Reads `lane`'s integrity-session counters over the secure
-    /// register channel: how many Merkle roots the controller derived
-    /// by full rebuild vs incremental dirty-chunk refresh, and how many
-    /// chunks those refreshes re-hashed in total. All zeros on a
-    /// confidentiality-only lane (the plain controller ignores the
-    /// addresses).
+    /// Reads `lane`'s Merkle build counter over the secure register
+    /// channel: one full input-tree build per verified START, zero on a
+    /// confidentiality-only lane. The other two [`IntegrityStats`]
+    /// fields are zero without a register read.
     ///
     /// # Errors
     ///
@@ -627,12 +621,14 @@ impl ServingPlane {
             .get_mut(lane.0)
             .and_then(|l| l.as_mut())
             .ok_or(ServeError::UnknownLane(lane))?;
-        let bed = l.session.bed_mut();
-        let read = |bed: &mut TestBed, reg| bed.secure_reg_read(reg).map_err(ServeError::Rejected);
+        let full_builds = l
+            .session
+            .bed_mut()
+            .secure_reg_read(regs::STAT_FULL_BUILDS)
+            .map_err(ServeError::Rejected)?;
         Ok(IntegrityStats {
-            full_builds: read(bed, integrity_regs::STAT_FULL_BUILDS)?,
-            incr_refreshes: read(bed, integrity_regs::STAT_INCR_REFRESHES)?,
-            chunks_rehashed: read(bed, integrity_regs::STAT_CHUNKS_REHASHED)?,
+            full_builds,
+            ..IntegrityStats::default()
         })
     }
 
@@ -908,97 +904,6 @@ fn execute_in_order(lanes: Vec<(usize, &mut Lane)>, max_batch: usize) -> Vec<Lan
     runs
 }
 
-/// A lane's memory protection, with the session keys its stages use.
-enum Plan {
-    Plain(RunPlan),
-    Verified(IntegrityPlan),
-}
-
-impl Plan {
-    fn prepare(session: &mut SecureSession) -> Result<Plan, SalusError> {
-        Ok(match session.protection() {
-            MemoryProtection::Confidentiality => Plan::Plain(RunPlan::prepare(session.bed_mut())?),
-            MemoryProtection::ConfidentialityAndIntegrity => {
-                Plan::Verified(IntegrityPlan::prepare(session.bed_mut())?)
-            }
-        })
-    }
-
-    /// Encrypts one staged payload in place; returns its input root
-    /// (zeros on the plain channel).
-    fn encrypt_input(&self, staged: &mut [u8]) -> [u8; 32] {
-        match self {
-            Plan::Plain(p) => {
-                p.encrypt_input_in_place(staged);
-                [0; 32]
-            }
-            Plan::Verified(p) => p.encrypt_input_in_place(staged),
-        }
-    }
-
-    fn program_key(&self, bed: &mut TestBed) -> Result<(), SalusError> {
-        match self {
-            Plan::Plain(p) => stage_program_key(bed, p),
-            Plan::Verified(p) => stage_program_key_verified(bed, p),
-        }
-    }
-
-    fn execute(
-        &self,
-        bed: &mut TestBed,
-        req: &ExecRequest,
-        in_root: &[u8; 32],
-    ) -> Result<VerifiedOutcome, SalusError> {
-        Ok(match self {
-            Plan::Plain(_) => match stage_execute(bed, req)? {
-                ExecOutcome::Done { output_len } => VerifiedOutcome::Done {
-                    output_len,
-                    out_root: [0; 32],
-                },
-                ExecOutcome::WindowFault { reported_len } => {
-                    VerifiedOutcome::WindowFault { reported_len }
-                }
-            },
-            Plan::Verified(_) => stage_execute_verified(bed, req, in_root)?,
-        })
-    }
-
-    /// Register transactions one execute step spends: offsets, start,
-    /// and status (plus roots on the verified channel, plus the output
-    /// readback on success).
-    fn exec_reg_ops(&self, done: bool) -> u32 {
-        // INPUT_OFFSET, INPUT_LEN, OUTPUT_OFFSET, ENCRYPT_OUTPUT,
-        // START, STATUS, OUTPUT_LEN.
-        let base = 7;
-        match (self, done) {
-            // + IN_ROOT ×4 always, + OUT_ROOT ×4 on success.
-            (Plan::Verified(_), true) => base + 8,
-            (Plan::Verified(_), false) => base + 4,
-            (Plan::Plain(_), _) => base,
-        }
-    }
-
-    /// Turns one read-back output into plaintext: verified against its
-    /// root on the integrity channel, decrypted if the workload
-    /// encrypts output.
-    fn open_output(
-        &self,
-        output: &mut [u8],
-        out_root: &[u8; 32],
-        encrypt_output: bool,
-    ) -> Result<(), SalusError> {
-        match self {
-            Plan::Plain(p) => {
-                if encrypt_output {
-                    p.decrypt_output(output);
-                }
-                Ok(())
-            }
-            Plan::Verified(p) => p.verify_output(output, out_root, encrypt_output),
-        }
-    }
-}
-
 /// One coalesced batch on its way through the stages.
 struct Batch {
     members: Vec<Pending>,
@@ -1094,24 +999,23 @@ impl Batch {
                     output_offset: out_base + out_cursor,
                     encrypt_output,
                 };
-                match plan.execute(bed, &req, &in_root)? {
+                let outcome = plan.execute(bed, &req, &in_root)?;
+                self.reg_ops += plan.exec_reg_ops(&outcome);
+                match outcome {
                     VerifiedOutcome::Done {
                         output_len,
                         out_root,
                     } => {
-                        self.reg_ops += plan.exec_reg_ops(true);
                         spans.push((i, out_cursor, output_len, out_root));
                         out_cursor += output_len;
                         break;
                     }
                     VerifiedOutcome::InputTampered => {
-                        self.reg_ops += plan.exec_reg_ops(false);
                         self.outputs[i] =
                             Some(Err(SalusError::RegisterChannelViolation("input integrity")));
                         break;
                     }
                     VerifiedOutcome::WindowFault { reported_len } => {
-                        self.reg_ops += plan.exec_reg_ops(false);
                         if out_cursor > 0 && !retried {
                             // The packed outputs filled the staging
                             // buffer: flush what is there in one early
@@ -1190,7 +1094,8 @@ fn execute_lane(lane: &mut Lane, index: usize, max_batch: usize) -> LaneRun {
         faults: Vec::new(),
         failed: None,
     };
-    let plan = match Plan::prepare(&mut lane.session) {
+    let protection = lane.session.protection();
+    let plan = match Plan::prepare(lane.session.bed_mut(), protection) {
         Ok(plan) => plan,
         Err(e) => {
             run.failed = Some(e);

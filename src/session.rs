@@ -18,7 +18,6 @@
 //! ```
 
 use salus_accel::harness;
-use salus_accel::integrity;
 use salus_accel::workload::Workload;
 use salus_core::boot::{secure_boot, BootBreakdown, BootOutcome, BootPlan, CascadeReport};
 use salus_core::instance::TestBed;
@@ -26,17 +25,7 @@ use salus_core::platform::{DeployPath, DramWindow, SlotId, TenantId};
 use salus_core::runtime_attest::{heartbeat, Heartbeat};
 use salus_core::SalusError;
 
-/// How DMA buffers are protected on the direct memory channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryProtection {
-    /// AES-CTR confidentiality only (the paper's baseline; shell
-    /// tampering corrupts silently).
-    #[default]
-    Confidentiality,
-    /// AES-CTR plus Merkle-root integrity over both buffers (the §3.1
-    /// extension; shell tampering is detected).
-    ConfidentialityAndIntegrity,
-}
+pub use salus_accel::harness::MemoryProtection;
 
 /// Fleet placement of a session deployed through a
 /// [`SalusNode`](crate::node::SalusNode): which tenant owns it, which
@@ -94,12 +83,7 @@ impl SecureSession {
         workload: &dyn Workload,
         protection: MemoryProtection,
     ) -> Result<SecureSession, SalusError> {
-        let bed = match protection {
-            MemoryProtection::Confidentiality => harness::boot_with_workload(workload)?,
-            MemoryProtection::ConfidentialityAndIntegrity => {
-                integrity::boot_with_integrity(workload)?
-            }
-        };
+        let bed = harness::boot_with_workload(workload, protection)?;
         let report = CascadeReport {
             user_attested: bed.client.platform_attested(),
             sm_attested: bed.user_app.platform_attested(),
@@ -203,12 +187,7 @@ impl SecureSession {
     ///
     /// Channel violations, integrity failures, or state errors.
     pub fn run(&mut self, workload: &dyn Workload) -> Result<Vec<u8>, SalusError> {
-        match self.protection {
-            MemoryProtection::Confidentiality => harness::run_on_salus(&mut self.bed, workload),
-            MemoryProtection::ConfidentialityAndIntegrity => {
-                integrity::run_with_integrity(&mut self.bed, workload)
-            }
-        }
+        harness::run_on_salus(&mut self.bed, workload, self.protection)
     }
 
     /// Runs one runtime re-attestation heartbeat.
@@ -245,29 +224,7 @@ impl SecureSession {
         self.report = outcome.report;
         self.last_breakdown = outcome.breakdown;
         // Re-attach the accelerator behind the freshly loaded SM logic.
-        let compute = harness::workload_compute_fn(workload);
-        let sm_logic = self
-            .bed
-            .sm_logic
-            .as_mut()
-            .ok_or(SalusError::SmLogicUnavailable("redeploy did not bind"))?;
-        match self.protection {
-            MemoryProtection::Confidentiality => {
-                sm_logic.set_accelerator(Box::new(harness::AcceleratorCtl::windowed(
-                    self.bed.shell.device(),
-                    self.bed.dram_window,
-                    compute,
-                )));
-            }
-            MemoryProtection::ConfidentialityAndIntegrity => {
-                sm_logic.set_accelerator(Box::new(integrity::IntegrityCtl::windowed(
-                    self.bed.shell.device(),
-                    self.bed.dram_window,
-                    compute,
-                )));
-            }
-        }
-        Ok(())
+        harness::install_accelerator(&mut self.bed, workload, self.protection)
     }
 }
 

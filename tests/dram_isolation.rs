@@ -12,8 +12,8 @@ use std::sync::Barrier;
 
 use salus::accel::apps::affine::Affine;
 use salus::accel::apps::conv::Conv;
-use salus::accel::harness::{regs as plain_regs, window_io_offsets, STATUS_WINDOW_FAULT};
-use salus::accel::integrity::{buffer_root, regs as int_regs, STATUS_INTEGRITY_FAILURE};
+use salus::accel::harness::{regs, window_io_offsets, STATUS_WINDOW_FAULT};
+use salus::accel::integrity::{buffer_root, STATUS_INTEGRITY_FAILURE};
 use salus::accel::runner::stream_ivs;
 use salus::accel::workload::Workload;
 use salus::core::platform::DeployPath;
@@ -123,16 +123,16 @@ fn out_of_window_dma_fails_closed_with_a_typed_error() {
     // Device side: a session programming its controller past its window
     // is stopped at START with a deterministic fault status.
     let bed = session.bed_mut();
-    bed.secure_reg_write(plain_regs::INPUT_OFFSET, window.len as u64)
+    bed.secure_reg_write(regs::INPUT_OFFSET, window.len as u64)
         .unwrap();
-    bed.secure_reg_write(plain_regs::INPUT_LEN, 64).unwrap();
-    bed.secure_reg_write(plain_regs::OUTPUT_OFFSET, 0).unwrap();
-    bed.secure_reg_write(plain_regs::START, 1).unwrap();
+    bed.secure_reg_write(regs::INPUT_LEN, 64).unwrap();
+    bed.secure_reg_write(regs::OUTPUT_OFFSET, 0).unwrap();
+    bed.secure_reg_write(regs::START, 1).unwrap();
     assert_eq!(
-        bed.secure_reg_read(plain_regs::STATUS).unwrap(),
+        bed.secure_reg_read(regs::STATUS).unwrap(),
         STATUS_WINDOW_FAULT
     );
-    assert_eq!(bed.secure_reg_read(plain_regs::OUTPUT_LEN).unwrap(), 0);
+    assert_eq!(bed.secure_reg_read(regs::OUTPUT_LEN).unwrap(), 0);
 
     // The neighbour's window is bit-identical throughout.
     let after = bed.shell.snoop_dram(other.base, other.len).unwrap();
@@ -169,26 +169,26 @@ fn integrity_run_with_tamper(
 
     for (i, chunk) in key.chunks_exact(8).enumerate() {
         bed.secure_reg_write(
-            int_regs::KEY0 + i as u32,
+            regs::KEY0 + i as u32,
             u64::from_le_bytes(chunk.try_into().unwrap()),
         )
         .unwrap();
     }
     for (i, chunk) in in_root.chunks_exact(8).enumerate() {
         bed.secure_reg_write(
-            int_regs::IN_ROOT0 + i as u32,
+            regs::IN_ROOT0 + i as u32,
             u64::from_le_bytes(chunk.try_into().unwrap()),
         )
         .unwrap();
     }
-    bed.secure_reg_write(int_regs::INPUT_OFFSET, input_offset as u64)
+    bed.secure_reg_write(regs::INPUT_OFFSET, input_offset as u64)
         .unwrap();
-    bed.secure_reg_write(int_regs::INPUT_LEN, workload.input().len() as u64)
+    bed.secure_reg_write(regs::INPUT_LEN, workload.input().len() as u64)
         .unwrap();
-    bed.secure_reg_write(int_regs::OUTPUT_OFFSET, output_offset as u64)
+    bed.secure_reg_write(regs::OUTPUT_OFFSET, output_offset as u64)
         .unwrap();
-    bed.secure_reg_write(int_regs::START, 1).unwrap();
-    bed.secure_reg_read(int_regs::STATUS).unwrap()
+    bed.secure_reg_write(regs::START, 1).unwrap();
+    bed.secure_reg_read(regs::STATUS).unwrap()
 }
 
 #[test]

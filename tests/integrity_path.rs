@@ -1,28 +1,32 @@
-//! Differential pinning of the incremental integrity fast path.
+//! Pins of the integrity-protected path.
 //!
-//! The integrity controller's default [`RootMode::Incremental`] retains
-//! Merkle trees across requests and re-hashes only dirty chunks; the
-//! [`RootMode::FullRebuild`] reference rebuilds every tree serially,
-//! exactly like the pre-session code. These tests prove the two modes
-//! are observationally identical — byte-identical outputs, identical
-//! accept/reject verdicts, including tampering injected mid-pipeline —
-//! across seeds and fleet layouts, and that the serving plane's
-//! integrity lanes actually exercise the session path.
+//! One controller serves both memory protections; under
+//! [`MemoryProtection::ConfidentialityAndIntegrity`] it rebuilds the
+//! input's Merkle root from the DRAM snapshot it is about to decrypt on
+//! every START. These tests pin that the serving plane's integrity lanes
+//! return byte-identical outputs to the blocking run across seeds and
+//! fleet layouts, that tampering injected mid-pipeline yields a pinned
+//! verdict sequence (including acceptance once the bytes are restored),
+//! and that every START re-derives the root from what DRAM holds then.
 
 use salus::accel::apps::affine::Affine;
 use salus::accel::apps::conv::Conv;
-use salus::accel::harness::{stage_dma_in, stage_dma_out, window_io_offsets, ExecRequest};
+use salus::accel::harness::{
+    boot_with_workload, regs, run_on_salus, stage_dma_in, stage_dma_out, window_io_offsets,
+    ExecRequest, MemoryProtection,
+};
 use salus::accel::integrity::{
-    boot_with_integrity, boot_with_integrity_reference, regs, run_with_integrity,
     stage_execute_verified, stage_program_key_verified, IntegrityPlan, VerifiedOutcome,
 };
 use salus::accel::workload::{WithInput, Workload};
 use salus::core::instance::TestBed;
 use salus::node::SalusNode;
 use salus::serving::{
-    ClientId, ExecutionMode, ResponseHandle, ServeCostModel, ServingConfig, ServingPlane,
+    ClientId, ExecutionMode, IntegrityStats, ResponseHandle, ServeCostModel, ServingConfig,
+    ServingPlane,
 };
-use salus::session::MemoryProtection;
+
+const VERIFIED: MemoryProtection = MemoryProtection::ConfidentialityAndIntegrity;
 
 /// Deterministic payload stream (xorshift64), mirroring
 /// `tests/serving.rs` so the two suites cover the same input space.
@@ -60,8 +64,7 @@ fn slot_workload(slot: usize) -> Box<dyn Workload> {
 }
 
 /// Replays the seed-derived request stream through serving-plane
-/// integrity lanes (incremental sessions) and returns the responses in
-/// submission order.
+/// integrity lanes and returns the responses in submission order.
 fn run_serving_integrity(
     layout: (usize, usize),
     seed: u64,
@@ -81,11 +84,7 @@ fn run_serving_integrity(
         let workload = slot_workload(slot);
         let tenant = node.register_tenant(&format!("tenant{slot}"));
         let session = node
-            .deploy_protected(
-                tenant,
-                workload.as_ref(),
-                MemoryProtection::ConfidentialityAndIntegrity,
-            )
+            .deploy_protected(tenant, workload.as_ref(), VERIFIED)
             .expect("deploy");
         let lane = plane.attach(session, workload.as_ref());
         lanes.push((lane, workload));
@@ -104,14 +103,16 @@ fn run_serving_integrity(
     }
     plane.drain().expect("drain");
 
-    // Every integrity lane must have derived roots through the session
-    // (two per request: input verify + output root readback paths run
-    // through the controller, which counts input-root derivations).
+    // Every request's START built its input tree once, from DRAM.
     for (lane, _) in &lanes {
         let stats = plane.lane_integrity_stats(*lane).expect("stats");
-        assert!(
-            stats.full_builds + stats.incr_refreshes >= requests_per_lane as u64,
-            "lane {lane:?} did not derive roots through the session: {stats:?}"
+        assert_eq!(
+            stats,
+            IntegrityStats {
+                full_builds: requests_per_lane as u64,
+                ..IntegrityStats::default()
+            },
+            "lane {lane:?}"
         );
     }
 
@@ -121,18 +122,14 @@ fn run_serving_integrity(
         .collect()
 }
 
-/// The same request stream through the blocking `run_with_integrity`
-/// loop on standalone full-rebuild reference beds.
-fn run_blocking_reference(
-    layout: (usize, usize),
-    seed: u64,
-    requests_per_lane: usize,
-) -> Vec<Vec<u8>> {
+/// The same request stream through the blocking run on standalone
+/// integrity-protected beds.
+fn run_blocking(layout: (usize, usize), seed: u64, requests_per_lane: usize) -> Vec<Vec<u8>> {
     let slots = layout.0 * layout.1;
     let mut beds: Vec<(TestBed, Box<dyn Workload>)> = (0..slots)
         .map(|slot| {
             let workload = slot_workload(slot);
-            let bed = boot_with_integrity_reference(workload.as_ref()).expect("boot");
+            let bed = boot_with_workload(workload.as_ref(), VERIFIED).expect("boot");
             (bed, workload)
         })
         .collect();
@@ -143,8 +140,8 @@ fn run_blocking_reference(
         for (bed, workload) in &mut beds {
             let payload = gen.payload(workload.as_ref());
             let request = WithInput::new(workload.as_ref(), payload.clone());
-            let output = run_with_integrity(bed, &request).expect("blocking reference");
-            assert_eq!(output, workload.compute(&payload), "reference vs CPU");
+            let output = run_on_salus(bed, &request, VERIFIED).expect("blocking run");
+            assert_eq!(output, workload.compute(&payload), "blocking run vs CPU");
             outputs.push(output);
         }
     }
@@ -152,29 +149,29 @@ fn run_blocking_reference(
 }
 
 #[test]
-fn serving_integrity_lanes_match_blocking_full_rebuild_reference() {
+fn serving_integrity_lanes_match_the_blocking_run() {
     for seed in [1u64, 7, 42] {
         for layout in [(1usize, 1usize), (1, 2), (2, 2)] {
-            let fast = run_serving_integrity(layout, seed, 3);
-            let reference = run_blocking_reference(layout, seed, 3);
+            let served = run_serving_integrity(layout, seed, 3);
+            let blocking = run_blocking(layout, seed, 3);
             assert_eq!(
-                fast, reference,
-                "incremental serving path diverged from the blocking \
-                 full-rebuild reference (seed {seed}, layout {layout:?})"
+                served, blocking,
+                "serving integrity lanes diverged from the blocking run \
+                 (seed {seed}, layout {layout:?})"
             );
         }
     }
 }
 
 /// Drives one bed through the staged protocol: honest request →
-/// mid-pipeline tamper → restored bytes, recording every verdict and
-/// output. Both root modes must produce the identical trace.
-fn staged_trace(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<(String, Vec<u8>)> {
+/// mid-pipeline tamper → restored bytes → honest request, checking every
+/// accepted output against the CPU and returning the verdicts.
+fn staged_verdicts(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<&'static str> {
     let plan = IntegrityPlan::prepare(&bed).expect("plan");
     let window = plan.window();
     let (input_offset, output_offset) = window_io_offsets(window);
     let mut gen = PayloadGen(seed);
-    let mut trace: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut verdicts = Vec::new();
 
     stage_program_key_verified(&mut bed, &plan).expect("key exchange");
 
@@ -205,7 +202,7 @@ fn staged_trace(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<(St
             plan.verify_output(&mut output, &out_root, workload.encrypt_output())
                 .expect("honest output verifies");
             assert_eq!(output, workload.compute(&payload));
-            trace.push(("done".into(), output));
+            verdicts.push("done");
         }
         other => panic!("honest request rejected: {other:?}"),
     }
@@ -228,12 +225,14 @@ fn staged_trace(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<(St
         output_offset,
         encrypt_output: workload.encrypt_output(),
     };
-    let verdict = stage_execute_verified(&mut bed, &req, &in_root).expect("register channel");
-    assert_eq!(verdict, VerifiedOutcome::InputTampered);
-    trace.push(("tampered".into(), Vec::new()));
+    if stage_execute_verified(&mut bed, &req, &in_root).expect("register channel")
+        == VerifiedOutcome::InputTampered
+    {
+        verdicts.push("tampered");
+    }
 
     // 3. Shell restores the original byte: the retry must succeed with
-    //    a correct output — no false positive from stale session state.
+    //    a correct output — no false positive from the refused START.
     bed.shell
         .tamper_dram(abs + 777, &[original])
         .expect("restore");
@@ -246,13 +245,13 @@ fn staged_trace(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<(St
             plan.verify_output(&mut output, &out_root, workload.encrypt_output())
                 .expect("restored output verifies");
             assert_eq!(output, workload.compute(&payload));
-            trace.push(("recovered".into(), output));
+            verdicts.push("recovered");
         }
         other => panic!("restored request rejected: {other:?}"),
     }
 
-    // 4. One more honest request reusing the session (double-checks the
-    //    tree cache carries no residue from the tamper episode).
+    // 4. One more honest request on the same bed: the tamper episode
+    //    leaves no residue.
     let payload = gen.payload(workload);
     let (ciphertext, in_root) = plan.encrypt_input(&payload);
     match run(&mut bed, &ciphertext, &in_root, payload.len()) {
@@ -263,29 +262,27 @@ fn staged_trace(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<(St
             let mut output = stage_dma_out(&mut bed, output_offset, output_len).expect("dma out");
             plan.verify_output(&mut output, &out_root, workload.encrypt_output())
                 .expect("output verifies");
-            trace.push(("done".into(), output));
+            assert_eq!(output, workload.compute(&payload));
+            verdicts.push("done");
         }
         other => panic!("follow-up request rejected: {other:?}"),
     }
 
-    trace
+    verdicts
 }
 
 #[test]
-fn tamper_mid_pipeline_verdicts_identical_across_root_modes() {
+fn tamper_mid_pipeline_verdict_sequence_is_pinned() {
     for seed in [1u64, 7, 42] {
         for workload in [
             Box::new(Conv::paper_scale()) as Box<dyn Workload>,
             Box::new(Affine::paper_scale()),
         ] {
-            let fast_bed = boot_with_integrity(workload.as_ref()).expect("boot fast");
-            let ref_bed = boot_with_integrity_reference(workload.as_ref()).expect("boot ref");
-            let fast = staged_trace(fast_bed, workload.as_ref(), seed);
-            let reference = staged_trace(ref_bed, workload.as_ref(), seed);
+            let bed = boot_with_workload(workload.as_ref(), VERIFIED).expect("boot");
             assert_eq!(
-                fast,
-                reference,
-                "root modes diverged under tampering (seed {seed}, {})",
+                staged_verdicts(bed, workload.as_ref(), seed),
+                ["done", "tampered", "recovered", "done"],
+                "seed {seed}, {}",
                 workload.name()
             );
         }
@@ -293,13 +290,12 @@ fn tamper_mid_pipeline_verdicts_identical_across_root_modes() {
 }
 
 #[test]
-fn incremental_session_actually_skips_full_rebuilds_on_partial_touch() {
-    // End-to-end version of the sublinearity claim: after the first
-    // request builds the tree, flipping one chunk and re-running the
-    // verification goes through the incremental path, and the chunk
-    // counter shows far less hashing than a rebuild.
+fn every_start_rebuilds_the_input_root_from_dram() {
+    // Re-START the same request after the shell rewrites one chunk of
+    // the input: identical bytes are accepted, different bytes refused,
+    // and each START builds the input tree exactly once.
     let workload = Conv::paper_scale();
-    let mut bed = boot_with_integrity(&workload).expect("boot");
+    let mut bed = boot_with_workload(&workload, VERIFIED).expect("boot");
     let plan = IntegrityPlan::prepare(&bed).expect("plan");
     let window = plan.window();
     let (input_offset, output_offset) = window_io_offsets(window);
@@ -314,36 +310,39 @@ fn incremental_session_actually_skips_full_rebuilds_on_partial_touch() {
         output_offset,
         encrypt_output: workload.encrypt_output(),
     };
-    assert!(matches!(
-        stage_execute_verified(&mut bed, &req, &in_root).expect("exec"),
-        VerifiedOutcome::Done { .. }
-    ));
-    let full_after_first = bed.secure_reg_read(regs::STAT_FULL_BUILDS).expect("reg");
-
-    // Re-verify after a single-chunk rewrite of identical bytes: the
-    // session must refresh, not rebuild.
     let abs = window
         .to_absolute(input_offset, ciphertext.len())
         .expect("abs");
+    let builds = |bed: &mut TestBed| bed.secure_reg_read(regs::STAT_FULL_BUILDS).expect("reg");
+    let start = |bed: &mut TestBed| {
+        let outcome = stage_execute_verified(bed, &req, &in_root).expect("exec");
+        if let VerifiedOutcome::Done {
+            output_len,
+            out_root,
+        } = outcome
+        {
+            let mut output = stage_dma_out(bed, output_offset, output_len).expect("dma out");
+            plan.verify_output(&mut output, &out_root, workload.encrypt_output())
+                .expect("output verifies");
+            assert_eq!(output, workload.compute(&payload));
+        }
+        outcome
+    };
+
+    assert!(matches!(start(&mut bed), VerifiedOutcome::Done { .. }));
+    assert_eq!(builds(&mut bed), 1);
+
     bed.shell
         .dma_write(abs + 256, &ciphertext[256..512])
-        .expect("rewrite one chunk");
-    assert!(matches!(
-        stage_execute_verified(&mut bed, &req, &in_root).expect("exec"),
-        VerifiedOutcome::Done { .. }
-    ));
-    assert_eq!(
-        bed.secure_reg_read(regs::STAT_FULL_BUILDS).expect("reg"),
-        full_after_first,
-        "partial touch must not trigger a full rebuild"
-    );
-    assert!(bed.secure_reg_read(regs::STAT_INCR_REFRESHES).expect("reg") >= 1);
-    let rehashed = bed
-        .secure_reg_read(regs::STAT_CHUNKS_REHASHED)
-        .expect("reg");
-    let total_chunks = ciphertext.len().div_ceil(256) as u64;
-    assert!(
-        rehashed < total_chunks / 4,
-        "refresh re-hashed {rehashed} of {total_chunks} chunks — not sublinear"
-    );
+        .expect("rewrite one chunk with the same bytes");
+    assert!(matches!(start(&mut bed), VerifiedOutcome::Done { .. }));
+    assert_eq!(builds(&mut bed), 2);
+
+    let mut changed = ciphertext[256..512].to_vec();
+    changed[17] ^= 0x01;
+    bed.shell
+        .dma_write(abs + 256, &changed)
+        .expect("rewrite one chunk with other bytes");
+    assert_eq!(start(&mut bed), VerifiedOutcome::InputTampered);
+    assert_eq!(builds(&mut bed), 3);
 }

@@ -1,17 +1,21 @@
 //! Integration: every paper workload end-to-end on a securely booted
 //! Salus instance, with shell-side confidentiality checks.
 
-use salus::accel::harness::{boot_with_workload, run_on_salus};
+use salus::accel::harness::{boot_with_workload, run_on_salus, MemoryProtection};
 use salus::accel::runner::{run_all_modes, ExecMode};
 use salus::accel::workload::all_workloads;
 
 #[test]
 fn all_five_workloads_run_on_a_booted_instance() {
     for workload in all_workloads() {
-        let mut bed = boot_with_workload(workload.as_ref())
+        let mut bed = boot_with_workload(workload.as_ref(), MemoryProtection::Confidentiality)
             .unwrap_or_else(|e| panic!("{} boot failed: {e}", workload.name()));
-        let output = run_on_salus(&mut bed, workload.as_ref())
-            .unwrap_or_else(|e| panic!("{} run failed: {e}", workload.name()));
+        let output = run_on_salus(
+            &mut bed,
+            workload.as_ref(),
+            MemoryProtection::Confidentiality,
+        )
+        .unwrap_or_else(|e| panic!("{} run failed: {e}", workload.name()));
         let reference = workload.compute(workload.input());
         assert_eq!(output, reference, "{} output mismatch", workload.name());
 
@@ -32,8 +36,14 @@ fn encrypted_output_workloads_hide_results_from_the_shell() {
         if !workload.encrypt_output() {
             continue;
         }
-        let mut bed = boot_with_workload(workload.as_ref()).unwrap();
-        let output = run_on_salus(&mut bed, workload.as_ref()).unwrap();
+        let mut bed =
+            boot_with_workload(workload.as_ref(), MemoryProtection::Confidentiality).unwrap();
+        let output = run_on_salus(
+            &mut bed,
+            workload.as_ref(),
+            MemoryProtection::Confidentiality,
+        )
+        .unwrap();
         let snooped = bed.shell.snoop_dram(4 << 20, output.len()).unwrap();
         assert_ne!(snooped, output, "{} leaked output", workload.name());
     }
@@ -139,7 +149,7 @@ fn data_key_mismatch_yields_garbage_not_panic() {
     // configures the accelerator with the wrong key: the run completes
     // (no oracle) and produces garbage.
     let workload = Conv::paper_scale();
-    let mut bed = boot_with_workload(&workload).unwrap();
+    let mut bed = boot_with_workload(&workload, MemoryProtection::Confidentiality).unwrap();
     let good_key = *bed.user_app.data_key().unwrap().as_bytes();
     let (iv_in, _) = stream_ivs(&good_key);
     let mut ciphertext = workload.input().to_vec();
