@@ -328,7 +328,11 @@ fn main() {
     // --- Bitstream-path kernels (GHASH / CRC-32) ---
     //
     // GHASH is timed through an AAD-only seal: with no plaintext, a
-    // seal is one serial GHASH pass plus constant work.
+    // seal is one serial GHASH pass plus constant work. `crc32` runs the
+    // dispatched kernel (the PCLMULQDQ fold where the CPU has it);
+    // `crc32_portable` times the slicing-by-8 fallback through a CRC
+    // patch with no trailing bytes, which is one slicing pass over the
+    // whole delta plus one multiplication by x⁰.
     println!("Bitstream-path kernels (MiB/s)\n");
     for (label, size) in [("1MiB", MIB), ("bitstream", BITSTREAM_BYTES)] {
         let data = vec![0xA5u8; size];
@@ -338,7 +342,14 @@ fn main() {
         let crc = throughput_mbps(size, 16, || {
             std::hint::black_box(salus_fpga::wire::crc32(&data));
         });
-        for (name, mbps) in [("ghash", ghash), ("crc32", crc)] {
+        let crc_portable = throughput_mbps(size, 16, || {
+            std::hint::black_box(salus_crypto::crc32::crc32_patch(0, &data, 0));
+        });
+        for (name, mbps) in [
+            ("ghash", ghash),
+            ("crc32", crc),
+            ("crc32_portable", crc_portable),
+        ] {
             println!("{label:>9}  {name:<23} {mbps:>9.1} MiB/s");
             rows.push(serde_json::json!({
                 "size": label.to_owned(),

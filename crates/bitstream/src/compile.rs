@@ -157,6 +157,16 @@ pub(crate) fn bram_slot_offset(slot: u32, family: FamilyId) -> usize {
     (slot * family.frames_per_bram()) as usize * family.frame_bytes()
 }
 
+/// Byte offset of the FDRI payload in a canonical stream: eight dummy
+/// words and the sync word, the one-word IDCODE, RCRC, FAR and WCFG
+/// writes (header and word each), then the FDRI's type-1 and type-2
+/// headers.
+pub(crate) const CANONICAL_PAYLOAD_OFFSET: usize = 4 * (9 + 4 * 2 + 2);
+
+/// Bytes of a canonical stream after its FDRI payload: the CRC and
+/// DESYNC writes, header and word each.
+pub(crate) const CANONICAL_TRAILER_BYTES: usize = 4 * 2 * 2;
+
 /// Builds the canonical `IDCODE, RCRC, FAR, WCFG, FDRI, CRC` stream
 /// around a full-partition frame payload. `family_code` stamps the
 /// framing the payload was built with; the ICAP checks it against the

@@ -33,6 +33,9 @@ pub enum BitstreamError {
     UndecodableImage(&'static str),
     /// Two module instances share a hierarchical path.
     DuplicatePath(String),
+    /// A stream handed to manipulation parses but is not laid out as
+    /// the compiler emits it, so its cells cannot be located.
+    NonCanonical(&'static str),
     /// An underlying device/wire-format error.
     Fpga(FpgaError),
 }
@@ -58,6 +61,7 @@ impl fmt::Display for BitstreamError {
                 write!(f, "configuration memory does not decode: {what}")
             }
             BitstreamError::DuplicatePath(path) => write!(f, "duplicate module path: {path}"),
+            BitstreamError::NonCanonical(what) => write!(f, "non-canonical stream: {what}"),
             BitstreamError::Fpga(e) => write!(f, "fpga error: {e}"),
         }
     }

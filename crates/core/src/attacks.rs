@@ -111,6 +111,16 @@ pub struct AttackOutcome {
     pub error: Option<SalusError>,
 }
 
+/// Arms [`BootAttack::SubstituteStoredBitstream`] on `bed`: the host
+/// flips one byte of the CL it serves this bed. The flip is
+/// copy-on-write ([`Arc::make_mut`](std::sync::Arc::make_mut)), so beds
+/// sharing the node's stored package keep fetching the original.
+pub fn substitute_stored_bitstream(bed: &mut TestBed) {
+    let wire = &mut std::sync::Arc::make_mut(&mut bed.cl_store).compiled.wire;
+    let mid = wire.len() / 2;
+    wire[mid] ^= 0x01;
+}
+
 /// Provisions a fresh quick deployment, arms `attack`, and runs the
 /// boot. For [`BootAttack::None`] the boot must succeed.
 pub fn run_attack(attack: BootAttack) -> AttackOutcome {
@@ -154,10 +164,7 @@ pub fn run_attack(attack: BootAttack) -> AttackOutcome {
                 .channel(endpoints::MANUFACTURER, endpoints::HOST)
                 .interpose(BitFlipper::new(1, 40));
         }
-        BootAttack::SubstituteStoredBitstream => {
-            let mid = bed.cl_store.len() / 2;
-            bed.cl_store[mid] ^= 0x01;
-        }
+        BootAttack::SubstituteStoredBitstream => substitute_stored_bitstream(&mut bed),
         BootAttack::ShellCorruptsBitstream => {
             bed.shell
                 .set_load_attack(salus_fpga::shell::LoadAttack::CorruptByte(1 << 12));

@@ -917,17 +917,23 @@ fn exec_step(
         }
         // ── ⑤ Verify, manipulate, encrypt inside the SM enclave ───────
         BootStep::BitstreamVerify => {
-            bed.cost
-                .charge(&clock, Op::BitstreamVerify(bed.cl_store.len()));
+            bed.cost.charge(
+                &clock,
+                Op::BitstreamVerify(bed.cl_store.compiled.wire.len()),
+            );
         }
         BootStep::BitstreamManipulation => {
-            bed.cost
-                .charge(&clock, Op::BitstreamManipulate(bed.cl_store.len()));
+            bed.cost.charge(
+                &clock,
+                Op::BitstreamManipulate(bed.cl_store.compiled.wire.len()),
+            );
         }
         BootStep::BitstreamEncrypt => {
-            bed.cost
-                .charge(&clock, Op::BitstreamEncrypt(bed.cl_store.len()));
-            bed.sm_app.prepare_bitstream(&bed.cl_store)?;
+            bed.cost.charge(
+                &clock,
+                Op::BitstreamEncrypt(bed.cl_store.compiled.wire.len()),
+            );
+            bed.sm_app.prepare_bitstream(&bed.cl_store.compiled.wire)?;
         }
         // ── ⑤→⑥ Shell deployment and internal decryption ─────────────
         BootStep::ClLoad => {

@@ -10,6 +10,8 @@
 //! device, and per-tenant [`EndpointNames`] so many beds coexist on one
 //! fabric.
 
+use std::sync::Arc;
+
 use salus_bitstream::netlist::Module;
 use salus_fpga::geometry::{DeviceGeometry, DramWindow};
 use salus_fpga::shell::Shell;
@@ -21,9 +23,7 @@ use salus_tee::platform::SgxPlatform;
 use salus_tee::quote::AttestationService;
 
 use crate::client::UserClient;
-use crate::dev::{
-    develop_cl, loopback_accelerator, sm_enclave_image, user_enclave_image, ClPackage,
-};
+use crate::dev::{loopback_accelerator, sm_enclave_image, user_enclave_image, ClPackage};
 use crate::keys::KeyData;
 use crate::platform::{KeyService, SharedManufacturer, SharedPlatform};
 use crate::reg_channel::HostRegChannel;
@@ -224,13 +224,22 @@ impl TestBedBuilder {
         self
     }
 
-    /// Provisions the deployment.
+    /// Provisions the deployment. The CL package comes from the
+    /// platform's [`ClStore`](crate::platform::ClStore), developed there
+    /// on the first build that asks for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SalusError::Tee`](crate::SalusError::Tee) when the host's EPC
+    /// has no room for the bed's two enclaves, and the compile error
+    /// when the accelerator does not fit the configured partition.
     ///
     /// # Panics
     ///
-    /// Panics if the accelerator does not fit the configured geometry —
-    /// a configuration error, not a runtime condition.
-    pub fn build(self) -> TestBed {
+    /// Panics when the configured geometry lacks the target partition,
+    /// or its shell image does not compile and load — configuration
+    /// errors, not runtime conditions.
+    pub fn build(self) -> Result<TestBed, crate::SalusError> {
         let TestBedBuilder {
             config,
             names,
@@ -248,6 +257,7 @@ impl TestBedBuilder {
             sgx: platform,
             qe,
             manufacturer,
+            cl_store,
         } = shared.unwrap_or_else(|| {
             SharedPlatform::provision(config.seed, config.platform_svn, config.latency.clone())
         });
@@ -275,18 +285,17 @@ impl TestBedBuilder {
             .dram_window(partition)
             .expect("target partition exists in configured geometry");
 
-        // Development domain.
-        let package = develop_cl(
-            config.accelerator.clone(),
+        // Development domain: compiled once per node, then served from
+        // the store.
+        let package = cl_store.package(
+            &config.accelerator,
             config.geometry.partitions[partition],
             partition,
-        )
-        .expect("accelerator fits configured geometry");
-        let cl_store = package.compiled.wire.clone();
+        )?;
 
         // Cloud instance domain.
-        let user_enclave = platform.load_enclave(&user_image).expect("EPC space");
-        let sm_enclave = platform.load_enclave(&sm_image).expect("EPC space");
+        let user_enclave = platform.load_enclave(&user_image)?;
+        let sm_enclave = platform.load_enclave(&sm_image)?;
         let user_app = UserApp::new(user_enclave, qe.clone(), sm_image.measure());
         let sm_app = SmApp::new(sm_enclave, qe, user_image.measure());
 
@@ -307,7 +316,7 @@ impl TestBedBuilder {
                 .with_service(names.manufacturer.clone())
         });
 
-        TestBed {
+        Ok(TestBed {
             clock,
             fabric,
             cost: config.cost,
@@ -315,8 +324,8 @@ impl TestBedBuilder {
             attestation,
             manufacturer,
             shell,
+            cl_store: Arc::clone(&package),
             package,
-            cl_store,
             client,
             user_app,
             sm_app,
@@ -328,7 +337,7 @@ impl TestBedBuilder {
             names,
             advertised_dna_override: None,
             rpc_key_client,
-        }
+        })
     }
 }
 
@@ -349,11 +358,15 @@ pub struct TestBed {
     pub manufacturer: SharedManufacturer,
     /// The CSP shell managing the FPGA.
     pub shell: Shell,
-    /// The developed CL package.
-    pub package: ClPackage,
+    /// The developed CL package, shared with every bed of the node that
+    /// deploys the same CL.
+    pub package: Arc<ClPackage>,
     /// Untrusted host storage holding the (plaintext) CL bitstream as
-    /// uploaded; the SM enclave verifies it against `H` before use.
-    pub cl_store: Vec<u8>,
+    /// uploaded, `cl_store.compiled.wire`; the SM enclave verifies it
+    /// against `H` before use. It starts as the developer's package
+    /// itself; an attacker rewriting it gets a private copy
+    /// ([`Arc::make_mut`]), so other beds keep fetching the original.
+    pub cl_store: Arc<ClPackage>,
     /// The data owner's client.
     pub client: UserClient,
     /// The user enclave application.
@@ -402,9 +415,12 @@ impl TestBed {
     /// # Panics
     ///
     /// Panics if the accelerator does not fit the configured geometry —
-    /// a configuration error, not a runtime condition.
+    /// a configuration error, not a runtime condition. (A private
+    /// platform always has EPC room for one bed.)
     pub fn provision(config: TestBedConfig) -> TestBed {
-        TestBedBuilder::new(config).build()
+        TestBedBuilder::new(config)
+            .build()
+            .expect("accelerator fits configured geometry")
     }
 
     /// A tiny zero-cost bed for examples and doc tests.
@@ -490,8 +506,48 @@ mod tests {
         assert_eq!(bed.manufacturer.device_count(), 1);
         assert!(!bed.client.platform_attested());
         assert!(bed.sm_logic.is_none());
-        assert_eq!(bed.cl_store, bed.package.compiled.wire);
+        assert!(Arc::ptr_eq(&bed.cl_store, &bed.package));
         assert_eq!(bed.names, EndpointNames::legacy());
+    }
+
+    #[test]
+    fn beds_of_one_cl_share_the_stored_package() {
+        let config = TestBedConfig {
+            geometry: DeviceGeometry::tiny_multi_rp(2),
+            ..TestBedConfig::quick()
+        };
+        let shared =
+            SharedPlatform::provision(config.seed, config.platform_svn, config.latency.clone());
+        let shell = {
+            let device = shared
+                .manufacturer
+                .manufacture_device(config.geometry.clone(), 7);
+            let image = crate::dev::build_shell_image(&config.geometry).unwrap();
+            Shell::provision(device, &image).unwrap()
+        };
+        let bed_on = |partition| {
+            TestBedBuilder::new(config.clone())
+                .on_platform(shared.clone())
+                .with_device(shell.clone(), partition)
+                .build()
+                .unwrap()
+        };
+        let (a, b) = (bed_on(0), bed_on(0));
+        assert!(Arc::ptr_eq(&a.package, &b.package), "developed once");
+        assert!(Arc::ptr_eq(&a.cl_store, &a.package));
+        assert_eq!(shared.cl_store.len(), 1);
+        let fresh =
+            crate::dev::develop_cl(config.accelerator.clone(), config.geometry.partitions[0], 0)
+                .unwrap();
+        assert_eq!(a.package.digest, fresh.digest);
+        assert_eq!(a.package.compiled.wire, fresh.compiled.wire);
+
+        // Another partition is another package, with its own digest.
+        let c = bed_on(1);
+        assert_eq!(shared.cl_store.len(), 2);
+        assert!(!Arc::ptr_eq(&a.package, &c.package));
+        assert_eq!(c.package.compiled.partition, 1);
+        assert_ne!(a.package.digest, c.package.digest);
     }
 
     #[test]
@@ -511,11 +567,12 @@ mod tests {
 
     #[test]
     fn rpc_key_service_toggle_installs_fabric_stub() {
-        let bed = TestBedBuilder::new(TestBedConfig::quick()).build();
+        let bed = TestBedBuilder::new(TestBedConfig::quick()).build().unwrap();
         assert!(bed.rpc_key_client.is_none(), "in-process by default");
         let bed = TestBedBuilder::new(TestBedConfig::quick())
             .rpc_key_service(true)
-            .build();
+            .build()
+            .unwrap();
         assert!(bed.rpc_key_client.is_some());
     }
 

@@ -948,7 +948,18 @@ impl ControlPlane {
                 )));
             }
             let device = lease.slot.device;
-            let mut bed = self.tenant_bed(tenant, seed, accelerator.clone(), &lease);
+            let mut bed = match self.tenant_bed(tenant, seed, accelerator.clone(), &lease) {
+                Ok(bed) => bed,
+                Err(e) => {
+                    // The host could not stand the bed up (no EPC room,
+                    // or a CL that does not fit): nothing reached the
+                    // board, so the intent rolls back uncharged and the
+                    // slot is freed.
+                    self.journal_abort(op, &e.to_string(), AbortKind::RolledBack);
+                    let _ = self.release(lease.slot);
+                    return Err(DeployFailure::Rejected(e));
+                }
+            };
             let warm = cached.is_some();
             if let Some(key) = cached {
                 bed.sm_app.install_device_key(key);
@@ -1071,13 +1082,18 @@ impl ControlPlane {
     }
 
     /// Wires `tenant`'s bed onto `lease`'s board and partition.
+    ///
+    /// # Errors
+    ///
+    /// [`TestBedBuilder::build`]'s: no EPC room, or a CL that does not
+    /// fit the lease's partition.
     fn tenant_bed(
         &self,
         tenant: TenantId,
         seed: u64,
         accelerator: Module,
         lease: &DeviceLease,
-    ) -> TestBed {
+    ) -> Result<TestBed, SalusError> {
         let config = TestBedConfig {
             // The lease's own geometry, not a fleet-wide one: in a
             // mixed fleet the bitstream must be compiled for the

@@ -6,7 +6,8 @@
 //!
 //! * [`SharedPlatform`] — the resources one cloud node keeps alive
 //!   across tenants: virtual clock, RPC fabric, attestation service,
-//!   host TEE platform, and the (shared) manufacturer key service.
+//!   host TEE platform, the (shared) manufacturer key service, and the
+//!   [`ClStore`] of compiled CL packages.
 //! * [`traits`] — [`KeyService`], the key-distribution seam the boot
 //!   machine talks through, served in-process, by a shared
 //!   manufacturer, or over RPC.
@@ -60,14 +61,20 @@ pub use ledger::{Ledger, Settlement};
 pub use scheduler::{PlacePolicy, PlaceRequest, Scheduler};
 pub use traits::{distribute_device_key, KeyService, SharedManufacturer};
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use salus_bitstream::netlist::Module;
+use salus_fpga::geometry::PartitionGeometry;
 use salus_net::clock::SimClock;
 use salus_net::latency::LatencyModel;
 use salus_net::rpc::RpcFabric;
 use salus_tee::platform::SgxPlatform;
 use salus_tee::quote::{AttestationService, QuotingEnclave};
 
-use crate::dev::sm_enclave_image;
+use crate::dev::{develop_cl, sm_enclave_image, ClPackage};
 use crate::manufacturer::Manufacturer;
+use crate::SalusError;
 
 /// The long-lived resources one cloud node shares across every tenant
 /// deployment: cheap to clone (all handles), provisioned once.
@@ -85,6 +92,9 @@ pub struct SharedPlatform {
     pub qe: QuotingEnclave,
     /// The manufacturer (factory + key server).
     pub manufacturer: SharedManufacturer,
+    /// The node's CL store: every CL developed once, served to every
+    /// deploy of it.
+    pub cl_store: ClStore,
 }
 
 impl std::fmt::Debug for SharedPlatform {
@@ -121,6 +131,79 @@ impl SharedPlatform {
             sgx,
             qe,
             manufacturer,
+            cl_store: ClStore::default(),
         }
+    }
+}
+
+/// One stored package and what it was developed for: the accelerator
+/// it integrates, the partition geometry it is compiled for, and the
+/// partition index its frame address and digest name.
+struct StoredCl {
+    accelerator: Module,
+    geometry: PartitionGeometry,
+    partition: usize,
+    package: Arc<ClPackage>,
+}
+
+/// The untrusted host storage a node serves compiled CLs from (paper
+/// Table 1: development and deployment are independent). Each distinct
+/// (accelerator, geometry, partition) is developed once and shared by
+/// `Arc` with every bed deploying it; the SM enclave still hashes what
+/// it fetches on every deploy, so sharing never stands in for the
+/// digest check. A node sees a handful of keys, and [`Module`] is not
+/// `Hash`, so the store is a short list scanned by equality.
+#[derive(Clone, Default)]
+pub struct ClStore {
+    packages: Arc<Mutex<Vec<StoredCl>>>,
+}
+
+impl std::fmt::Debug for ClStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClStore")
+            .field("packages", &self.len())
+            .finish()
+    }
+}
+
+impl ClStore {
+    /// The package of `accelerator` for `geometry` at `partition`,
+    /// developed on first request and shared after that.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`develop_cl`] failures (the accelerator does not fit
+    /// the partition); nothing is stored for them.
+    pub fn package(
+        &self,
+        accelerator: &Module,
+        geometry: PartitionGeometry,
+        partition: usize,
+    ) -> Result<Arc<ClPackage>, SalusError> {
+        let mut packages = self.packages.lock();
+        let stored = packages.iter().find(|s| {
+            s.partition == partition && s.geometry == geometry && &s.accelerator == accelerator
+        });
+        if let Some(stored) = stored {
+            return Ok(Arc::clone(&stored.package));
+        }
+        let package = Arc::new(develop_cl(accelerator.clone(), geometry, partition)?);
+        packages.push(StoredCl {
+            accelerator: accelerator.clone(),
+            geometry,
+            partition,
+            package: Arc::clone(&package),
+        });
+        Ok(package)
+    }
+
+    /// Distinct packages stored.
+    pub fn len(&self) -> usize {
+        self.packages.lock().len()
+    }
+
+    /// Whether nothing has been developed yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }

@@ -1,5 +1,5 @@
-//! x86-64 hardware kernels for AES, SHA-256 and GHASH, chosen per call
-//! by runtime CPU-feature detection.
+//! x86-64 hardware kernels for AES, SHA-256, GHASH and CRC-32, chosen
+//! per call by runtime CPU-feature detection.
 //!
 //! Everything else in the crate — CTR, GCM's GCTR and hash key, CMAC,
 //! HMAC, HKDF, the DRBG and the Merkle tree — sits on the AES block
@@ -33,6 +33,13 @@
 //!   its one `unsafe` call follows the check for its one feature
 //!   (`pclmulqdq`); everything else it runs is SSE2, which x86-64
 //!   guarantees.
+//! * **PCLMULQDQ** again for CRC-32, after Gopal et al., "Fast CRC
+//!   Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+//!   (Intel, 2009): four 128-bit accumulators fold 64 bytes per step
+//!   against `x^(4·128±32) mod P`, then fold into one, then 128 → 64 →
+//!   32 bits, and a Barrett reduction leaves the CRC register. The
+//!   message stays in memory order, which for the reflected CRC is
+//!   already the order the carry-less products want.
 //!
 //! This is the only module of the crate allowed `unsafe`, and it needs
 //! it for one operation: calling a `#[target_feature]` function, which is
@@ -47,11 +54,11 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_add_epi32, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_alignr_epi8,
-    _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128,
-    _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-    _mm_shuffle_epi8, _mm_slli_epi64, _mm_slli_si128, _mm_srli_epi64, _mm_srli_si128,
-    _mm_unpackhi_epi64, _mm_xor_si128,
+    __m128i, _mm_add_epi32, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_alignr_epi8, _mm_and_si128,
+    _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_set_epi32, _mm_set_epi64x,
+    _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+    _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_epi64, _mm_slli_si128, _mm_srli_epi64,
+    _mm_srli_si128, _mm_unpackhi_epi64, _mm_xor_si128,
 };
 
 use crate::aes::{Block, BLOCK_SIZE};
@@ -167,6 +174,19 @@ pub(crate) fn ghash(keys: &[u128; 4], acc: &mut u128, blocks: &[u8]) -> bool {
     // SAFETY: `has_clmul` just confirmed PCLMULQDQ, the one feature
     // `ghash_blocks` enables beyond the x86-64 baseline.
     *acc = unsafe { ghash_blocks(keys, *acc, blocks) };
+    true
+}
+
+/// Advances the reflected CRC-32 register `reg` over every whole
+/// 16-byte block of `blocks` with PCLMULQDQ, if the CPU has it; a
+/// trailing partial block is ignored. Returns whether it ran.
+pub(crate) fn crc32(reg: &mut u32, blocks: &[u8]) -> bool {
+    if !has_clmul() {
+        return false;
+    }
+    // SAFETY: `has_clmul` just confirmed PCLMULQDQ, the one feature
+    // `crc32_blocks` enables beyond the x86-64 baseline.
+    *reg = unsafe { crc32_blocks(*reg, blocks) };
     true
 }
 
@@ -394,6 +414,77 @@ fn reduce(low: __m128i, high: __m128i) -> __m128i {
     _mm_xor_si128(high, folded)
 }
 
+/// Folding constants for the reflected CRC-32 polynomial `P`
+/// (`0x1DB710641` with its `x³²` term), each `x^k mod P` bit-reflected
+/// and shifted one place as the reflected carry-less product needs:
+/// `x^(4·128+32)`, `x^(4·128-32)` fold four accumulators 512 bits on;
+/// `x^(128+32)`, `x^(128-32)` fold one accumulator into the next; `x⁶⁴`
+/// folds 64 bits into 32.
+const CRC_K1: i64 = 0x1_5444_2bd4;
+const CRC_K2: i64 = 0x1_c6e4_1596;
+const CRC_K3: i64 = 0x1_7519_97d0;
+const CRC_K4: i64 = 0x0_ccaa_009e;
+const CRC_K5: i64 = 0x1_63cd_6124;
+/// Barrett reduction: `P` itself and `μ = ⌊x⁶⁴ / P⌋`, both reflected.
+const CRC_P: i64 = 0x1_DB71_0641;
+const CRC_MU: i64 = 0x1_F701_1641;
+
+/// CRC-32 over whole 16-byte blocks from register `reg`, returning the
+/// register after them. Accumulators absorb blocks by XOR; folding one
+/// 128 bits (or 512, four at once) further along the message multiplies
+/// its halves by `x^(d±32)` and XORs the next block in.
+#[target_feature(enable = "pclmulqdq")]
+fn crc32_blocks(reg: u32, blocks: &[u8]) -> u32 {
+    let (blocks, _) = blocks.as_chunks::<16>();
+    let Some((first, mut rest)) = blocks.split_first() else {
+        return reg;
+    };
+    let seed = _mm_cvtsi32_si128(reg as i32);
+    let k3k4 = _mm_set_epi64x(CRC_K4, CRC_K3);
+    let mut x = _mm_xor_si128(load(first), seed);
+    if rest.len() >= 3 {
+        let k1k2 = _mm_set_epi64x(CRC_K2, CRC_K1);
+        let mut acc = [x, load(&rest[0]), load(&rest[1]), load(&rest[2])];
+        rest = &rest[3..];
+        let (quads, tail) = rest.as_chunks::<4>();
+        for quad in quads {
+            for (a, block) in acc.iter_mut().zip(quad) {
+                *a = crc_fold(*a, load(block), k1k2);
+            }
+        }
+        rest = tail;
+        let [a0, a1, a2, a3] = acc;
+        x = crc_fold(crc_fold(crc_fold(a0, a1, k3k4), a2, k3k4), a3, k3k4);
+    }
+    for block in rest {
+        x = crc_fold(x, load(block), k3k4);
+    }
+
+    // 128 → 64 bits: the low half times x^(128-32), onto the high half.
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+    let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+    // 64 → 32 bits.
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, CRC_K5), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    // Barrett: quotient estimate `t1 = (x mod x³²)·μ`, then `x ⊕ t1·P`.
+    let pu = _mm_set_epi64x(CRC_MU, CRC_P);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+    (_mm_cvtsi128_si64(_mm_xor_si128(x, t2)) >> 32) as u32
+}
+
+/// Folds accumulator `a` one step on and XORs in `next`: its low half
+/// times the low key, its high half times the high key.
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn crc_fold(a: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+    let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+    _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+}
+
 /// Splits a schedule into the whitening key, the full-round keys and
 /// the final-round key.
 fn split_schedule(round_keys: &[Block]) -> (&Block, &[Block], &Block) {
@@ -509,6 +600,7 @@ mod tests {
         assert_eq!(sha256_compress(&mut [[0; 8]], [&[0; 64]]), sha);
         assert_eq!(sha256_compress(&mut [[0; 8]; 2], [&[0; 64]; 2]), sha);
         assert_eq!(ghash(&[0; 4], &mut 0, &[0; 64]), clmul);
+        assert_eq!(crc32(&mut 0, &[0; 64]), clmul);
         let names: Vec<&str> = [(aes, "aesni"), (sha, "shani"), (clmul, "pclmul")]
             .into_iter()
             .filter_map(|(has, name)| has.then_some(name))
@@ -526,6 +618,7 @@ mod tests {
             assert!(!sha256_compress(&mut [[0; 8]], [&[0; 64]]));
             assert!(!sha256_compress(&mut [[0; 8]; 2], [&[0; 64]; 2]));
             assert!(!ghash(&[0; 4], &mut 0, &[0; 64]));
+            assert!(!crc32(&mut 0, &[0; 64]));
             assert_eq!(backend(), "portable");
         });
         assert_eq!(backend(), expected, "the switch is restored");

@@ -17,6 +17,7 @@
 //! * [`gcm`] — AES-GCM authenticated encryption (bitstream encryption,
 //!   matching the Vivado scheme per XAPP1267)
 //! * [`cmac`] — AES-CMAC (RFC 4493; SGX local-attestation report MAC)
+//! * [`crc32`] — CRC-32 (IEEE 802.3; bitstream integrity words)
 //! * [`sha256`] — SHA-256 (FIPS 180-4; bitstream digests, measurements)
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 2104 / RFC 5869)
 //! * [`siphash`] — SipHash-2-4 (the SM logic's lightweight MAC engine)
@@ -27,8 +28,8 @@
 //! * [`ct`] — constant-time comparison helpers
 //!
 //! On x86-64 hosts with AES-NI, the SHA extensions and PCLMULQDQ, the
-//! AES block cipher, the SHA-256 compression function and GCM's GHASH
-//! run on those instructions, detected at run time; every other host
+//! AES block cipher, the SHA-256 compression function, GCM's GHASH and
+//! CRC-32 run on those instructions, detected at run time; every other host
 //! runs the portable code. Both give the same bytes. [`backend`] names
 //! the kernels in use.
 //!
@@ -52,6 +53,7 @@
 
 pub mod aes;
 pub mod cmac;
+pub mod crc32;
 pub mod ct;
 pub mod ctr;
 pub mod drbg;
@@ -69,7 +71,7 @@ mod hw;
 
 pub use error::CryptoError;
 
-/// The AES, SHA-256 and GHASH kernels this host dispatches to: the
+/// The AES, SHA-256, GHASH and CRC-32 kernels this host dispatches to: the
 /// x86-64 extensions the CPU has among `aesni`, `shani` and `pclmul`,
 /// `+`-joined in that order (`aesni+shani+pclmul` on a current x86-64
 /// server), otherwise `portable`.

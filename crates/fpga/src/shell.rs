@@ -9,6 +9,7 @@
 //! decryption and readback gating bound what the attacks can achieve.
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -30,6 +31,12 @@ pub enum LoadAttack {
     Replace(Vec<u8>),
 }
 
+/// Bitstreams the shell's observation log keeps, most recent last: the
+/// shell can always see what crosses it, but a board that serves
+/// tenants for ever must not hold every CL it ever loaded. Every
+/// experiment reads at most the last few loads of a board.
+pub const OBSERVED_BITSTREAMS_KEPT: usize = 8;
+
 /// The shell instance managing one device.
 #[derive(Clone)]
 pub struct Shell {
@@ -40,7 +47,7 @@ pub struct Shell {
 #[derive(Debug, Default)]
 struct ShellState {
     next_load_attack: LoadAttack,
-    observed_bitstreams: Vec<Vec<u8>>,
+    observed_bitstreams: VecDeque<Vec<u8>>,
 }
 
 impl std::fmt::Debug for Shell {
@@ -120,7 +127,8 @@ impl Shell {
     /// the bytes (it always can), applies any armed attack, and pushes
     /// the result through the ICAP. The observation log keeps the one
     /// owned copy: a `Vec` passed by value moves into it, a borrowed
-    /// stream is copied once.
+    /// stream is copied once. It holds the last
+    /// [`OBSERVED_BITSTREAMS_KEPT`] streams; older ones drop out.
     ///
     /// # Errors
     ///
@@ -143,7 +151,11 @@ impl Shell {
             }
             LoadAttack::Replace(other) => self.device.lock().icap_load(&other),
         };
-        self.state.lock().observed_bitstreams.push(observed);
+        let log = &mut self.state.lock().observed_bitstreams;
+        if log.len() == OBSERVED_BITSTREAMS_KEPT {
+            log.pop_front();
+        }
+        log.push_back(observed);
         outcome
     }
 
@@ -234,12 +246,19 @@ impl Shell {
         self.device.lock().dram_write(offset, data)
     }
 
-    /// Every bitstream the shell has seen cross it, verbatim.
+    /// The bitstreams the shell has seen cross it, verbatim, oldest
+    /// first: the last [`OBSERVED_BITSTREAMS_KEPT`] loads.
     pub fn observed_bitstreams(&self) -> Vec<Vec<u8>> {
-        self.state.lock().observed_bitstreams.clone()
+        self.state
+            .lock()
+            .observed_bitstreams
+            .iter()
+            .cloned()
+            .collect()
     }
 
-    /// Whether any observed bitstream contains `needle` in plaintext —
+    /// Whether any observed bitstream (of the last
+    /// [`OBSERVED_BITSTREAMS_KEPT`]) contains `needle` in plaintext —
     /// the leakage check used by confidentiality experiments.
     pub fn observed_bytes_contain(&self, needle: &[u8]) -> bool {
         if needle.is_empty() {
@@ -295,6 +314,22 @@ mod tests {
         shell.deploy_bitstream(&stream).unwrap();
         assert_eq!(shell.observed_bitstreams().len(), 1);
         assert!(shell.observed_bytes_contain(&[0x31, 0x31, 0x31, 0x31]));
+    }
+
+    #[test]
+    fn observation_log_keeps_the_most_recent_loads() {
+        let shell = shell_with_tiny_device();
+        let streams: Vec<Vec<u8>> = (0..OBSERVED_BITSTREAMS_KEPT as u8 + 3)
+            .map(|fill| plain_stream(&shell, fill))
+            .collect();
+        for stream in &streams {
+            shell.deploy_bitstream(stream).unwrap();
+        }
+        assert_eq!(
+            shell.observed_bitstreams(),
+            streams[3..],
+            "the oldest three dropped out, the rest in load order"
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! can read the fused key) can open it — the property Salus repurposes
 //! to keep the RoT confidential from the shell.
 
+/// CRC-32 (IEEE 802.3, reflected), the integrity word a stream's `CRC`
+/// packet carries over its `FAR` and `FDRI` words.
+pub use salus_crypto::crc32::{crc32, Crc32};
 use salus_crypto::gcm::{AesGcm256, TAG_SIZE};
 
 use crate::FpgaError;
@@ -332,90 +335,6 @@ impl<'a> Words<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) slicing tables: `CRC_TABLES[0]` is
-/// the byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC of byte
-/// `b` followed by `k` zero bytes, so eight table lookups advance the
-/// register by eight bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// A running CRC-32 (IEEE 802.3, reflected), for streams that arrive
-/// in pieces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32(u32);
-
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
-    }
-}
-
-impl Crc32 {
-    /// An empty CRC.
-    pub fn new() -> Crc32 {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Absorbs `data`, eight bytes per step (slicing-by-8).
-    pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.0;
-        let (chunks, tail) = data.as_chunks::<8>();
-        for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
-            let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
-            let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][(lo >> 8 & 0xFF) as usize]
-                ^ t[5][(lo >> 16 & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][(hi >> 8 & 0xFF) as usize]
-                ^ t[1][(hi >> 16 & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &byte in tail {
-            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
-        }
-        self.0 = crc;
-    }
-
-    /// The CRC of everything absorbed so far.
-    pub fn finish(&self) -> u32 {
-        !self.0
-    }
-}
-
-/// CRC-32 (IEEE 802.3, reflected) used for bitstream integrity words.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(data);
-    crc.finish()
-}
-
 /// Envelope layout constants: `nonce (12 B) || GCM(ciphertext || tag)`.
 pub const ENC_NONCE_BYTES: usize = 12;
 
@@ -564,12 +483,14 @@ mod tests {
         assert!(parse(&bytes).is_err());
     }
 
-    /// The byte-at-a-time CRC-32: the oracle for the slicing kernel.
+    /// The bit-at-a-time CRC-32: the oracle for the re-exported kernel.
     fn crc32_bytewise(data: &[u8]) -> u32 {
-        let table = &CRC_TABLES[0];
         let mut crc = 0xFFFF_FFFFu32;
         for &byte in data {
-            crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
         }
         !crc
     }

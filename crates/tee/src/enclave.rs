@@ -13,13 +13,15 @@ use parking_lot::Mutex;
 use salus_crypto::drbg::HmacDrbg;
 
 use crate::measurement::Measurement;
-use crate::platform::PlatformInner;
+use crate::platform::{EpcSlot, PlatformInner};
 use crate::report::{Report, ReportData};
 
-/// A loaded enclave's runtime handle.
+/// A loaded enclave's runtime handle. Clones share one enclave; its EPC
+/// slot is released when the last of them drops.
 #[derive(Clone)]
 pub struct Enclave {
     platform: Arc<PlatformInner>,
+    _slot: Arc<EpcSlot>,
     measurement: Measurement,
     name: String,
     drbg: Arc<Mutex<HmacDrbg>>,
@@ -37,12 +39,14 @@ impl std::fmt::Debug for Enclave {
 impl Enclave {
     pub(crate) fn new(
         platform: Arc<PlatformInner>,
+        slot: EpcSlot,
         measurement: Measurement,
         name: String,
         drbg: HmacDrbg,
     ) -> Enclave {
         Enclave {
             platform,
+            _slot: Arc::new(slot),
             measurement,
             name,
             drbg: Arc::new(Mutex::new(drbg)),

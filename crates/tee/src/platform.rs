@@ -24,7 +24,26 @@ pub(crate) struct PlatformInner {
     root_key: [u8; 32],
     platform_id: u64,
     svn: u16,
-    pub(crate) loaded: Mutex<Vec<Measurement>>,
+    epc: Mutex<Epc>,
+}
+
+/// EPC bookkeeping: slots held by live enclaves, and every load ever
+/// made — the ordinal that personalises each enclave's DRBG, which
+/// never repeats even after slots are released.
+#[derive(Debug, Default)]
+struct Epc {
+    live: usize,
+    loads: u64,
+}
+
+/// One enclave's EPC slot, released when the last handle of that
+/// enclave drops.
+pub(crate) struct EpcSlot(Arc<PlatformInner>);
+
+impl Drop for EpcSlot {
+    fn drop(&mut self) {
+        self.0.epc.lock().live -= 1;
+    }
 }
 
 impl PlatformInner {
@@ -76,7 +95,7 @@ impl std::fmt::Debug for SgxPlatform {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SgxPlatform")
             .field("platform_id", &self.inner.platform_id)
-            .field("loaded_enclaves", &self.inner.loaded.lock().len())
+            .field("loaded_enclaves", &self.loaded_enclaves())
             .finish_non_exhaustive()
     }
 }
@@ -105,7 +124,7 @@ impl SgxPlatform {
                 root_key,
                 platform_id,
                 svn,
-                loaded: Mutex::new(Vec::new()),
+                epc: Mutex::new(Epc::default()),
             }),
         }
     }
@@ -120,29 +139,40 @@ impl SgxPlatform {
         self.inner.platform_id
     }
 
+    /// Enclaves currently holding an EPC slot.
+    pub fn loaded_enclaves(&self) -> usize {
+        self.inner.epc.lock().live
+    }
+
     /// Loads (measures) an enclave image and returns its runtime handle.
+    /// The enclave holds its EPC slot until its last handle drops.
     ///
     /// # Errors
     ///
-    /// [`TeeError::EpcExhausted`] past [`MAX_ENCLAVES`].
+    /// [`TeeError::EpcExhausted`] while [`MAX_ENCLAVES`] are loaded.
     pub fn load_enclave(&self, image: &EnclaveImage) -> Result<Enclave, TeeError> {
         let measurement = image.measure();
-        {
-            let mut loaded = self.inner.loaded.lock();
-            if loaded.len() >= MAX_ENCLAVES {
+        // The slot and the ordinal are taken under one lock, so
+        // concurrent loads of one image never share a personalisation.
+        let ordinal = {
+            let mut epc = self.inner.epc.lock();
+            if epc.live >= MAX_ENCLAVES {
                 return Err(TeeError::EpcExhausted);
             }
-            loaded.push(measurement);
-        }
+            epc.live += 1;
+            epc.loads += 1;
+            epc.loads
+        };
+        let slot = EpcSlot(Arc::clone(&self.inner));
         // Per-enclave DRBG personalised by platform + measurement + load
         // ordinal, standing in for RDSEED inside the enclave.
-        let ordinal = self.inner.loaded.lock().len() as u64;
         let mut personalization = measurement.as_bytes().to_vec();
         personalization.extend_from_slice(&ordinal.to_le_bytes());
         personalization.extend_from_slice(&self.inner.platform_id.to_le_bytes());
         let drbg = HmacDrbg::new(&self.inner.root_key, &personalization);
         Ok(Enclave::new(
             Arc::clone(&self.inner),
+            slot,
             measurement,
             image.name().to_owned(),
             drbg,
@@ -183,14 +213,85 @@ mod tests {
     #[test]
     fn epc_limit_enforced() {
         let p = SgxPlatform::new(b"seed", 1);
-        for i in 0..MAX_ENCLAVES {
-            p.load_enclave(&EnclaveImage::from_code(format!("e{i}"), [i as u8]))
-                .unwrap();
-        }
+        let held: Vec<Enclave> = (0..MAX_ENCLAVES)
+            .map(|i| {
+                p.load_enclave(&EnclaveImage::from_code(format!("e{i}"), [i as u8]))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(p.loaded_enclaves(), MAX_ENCLAVES);
         assert_eq!(
             p.load_enclave(&EnclaveImage::from_code("one-too-many", b"x"))
                 .unwrap_err(),
             TeeError::EpcExhausted
+        );
+        drop(held);
+        assert_eq!(p.loaded_enclaves(), 0);
+    }
+
+    #[test]
+    fn epc_slot_is_released_with_the_last_handle() {
+        let p = SgxPlatform::new(b"seed", 1);
+        let image = EnclaveImage::from_code("e", b"e");
+        let first = p.load_enclave(&image).unwrap();
+        let clone = first.clone();
+        drop(first);
+        assert_eq!(p.loaded_enclaves(), 1, "a clone still holds the slot");
+        drop(clone);
+        assert_eq!(p.loaded_enclaves(), 0);
+        // Far more loads than the EPC holds, one at a time, never
+        // repeating a personalisation.
+        let draws: std::collections::HashSet<[u8; 32]> = (0..3 * MAX_ENCLAVES)
+            .map(|_| p.load_enclave(&image).unwrap().random_array())
+            .collect();
+        assert_eq!(draws.len(), 3 * MAX_ENCLAVES);
+    }
+
+    #[test]
+    fn ordinals_count_loads_from_one() {
+        // The n-th load of a platform is personalised with ordinal n,
+        // as it was when the ordinal was the number of loaded enclaves.
+        let p = SgxPlatform::new(b"seed", 1);
+        let image = EnclaveImage::from_code("e", b"e");
+        let draw = |ordinal: u64| {
+            let mut personalization = image.measure().as_bytes().to_vec();
+            personalization.extend_from_slice(&ordinal.to_le_bytes());
+            personalization.extend_from_slice(&1u64.to_le_bytes());
+            HmacDrbg::new(&p.inner.root_key, &personalization).generate_array::<32>()
+        };
+        let a = p.load_enclave(&image).unwrap();
+        drop(p.load_enclave(&image).unwrap());
+        let c = p.load_enclave(&image).unwrap();
+        assert_eq!(a.random_array::<32>(), draw(1));
+        assert_eq!(c.random_array::<32>(), draw(3));
+    }
+
+    #[test]
+    fn concurrent_loads_of_one_image_draw_distinct_randomness() {
+        let p = SgxPlatform::new(b"seed", 1);
+        let image = EnclaveImage::from_code("sm", b"same image everywhere");
+        let enclaves: Vec<Enclave> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..MAX_ENCLAVES / 8)
+                            .map(|_| p.load_enclave(&image).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("loader thread"))
+                .collect()
+        });
+        assert_eq!(enclaves.len(), MAX_ENCLAVES);
+        let draws: std::collections::HashSet<[u8; 32]> =
+            enclaves.iter().map(Enclave::random_array).collect();
+        assert_eq!(
+            draws.len(),
+            MAX_ENCLAVES,
+            "every enclave's first draw is its own"
         );
     }
 }

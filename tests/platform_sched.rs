@@ -3,14 +3,18 @@
 //! warm-image redeploy, and saturation reporting.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use salus::accel::apps::affine::Affine;
 use salus::accel::apps::conv::Conv;
 use salus::accel::workload::Workload;
-use salus::core::boot::BootPhase;
+use salus::core::attacks::{run_attack, substitute_stored_bitstream, BootAttack};
+use salus::core::boot::{secure_boot, BootPhase, BootPlan};
+use salus::core::dev::package_digest;
+use salus::core::instance::{TestBedBuilder, TestBedConfig};
 use salus::core::platform::DeployPath;
 use salus::core::{PlaceError, SalusError};
-use salus::node::SalusNode;
+use salus::node::{node_geometry, SalusNode};
 
 #[test]
 fn eight_tenants_deploy_concurrently_across_three_devices() {
@@ -188,4 +192,88 @@ fn fleet_saturation_is_reported() {
     node.evict(sessions.pop().unwrap()).unwrap();
     let session = node.deploy(late, &workload).unwrap();
     assert!(session.report().all_attested());
+}
+
+#[test]
+fn a_node_outlives_its_epc_through_forty_full_deploys() {
+    // Two tenants take turns: full deploy, then evict, which parks the
+    // bed and drops the one it replaces. Every dropped bed hands its two
+    // EPC slots back, so far more deploys than the EPC holds enclaves
+    // run on one node, each served from the one stored CL package per
+    // partition.
+    let node = SalusNode::quick(1, 2).unwrap();
+    let tenants = [node.register_tenant("a"), node.register_tenant("b")];
+    let workload = Affine::paper_scale();
+    let sgx = node.plane().shared().sgx.clone();
+    for round in 0..40 {
+        let tenant = tenants[round % 2];
+        let session = node
+            .deploy(tenant, &workload)
+            .unwrap_or_else(|e| panic!("full deploy {round}: {e}"));
+        let parked = tenants
+            .iter()
+            .filter(|&&t| node.plane().has_parked(t))
+            .count();
+        let live_beds = parked + 1;
+        assert!(
+            sgx.loaded_enclaves() <= 1 + 2 * live_beds,
+            "round {round}: {} enclaves for {live_beds} beds",
+            sgx.loaded_enclaves()
+        );
+        node.evict(session).unwrap();
+    }
+    assert!(node.plane().shared().cl_store.len() <= 2);
+}
+
+#[test]
+fn a_substituted_stored_cl_fails_only_its_own_boot() {
+    assert!(matches!(
+        run_attack(BootAttack::SubstituteStoredBitstream).error,
+        Some(SalusError::DigestMismatch)
+    ));
+
+    let node = SalusNode::quick(1, 1).unwrap();
+    let workload = Affine::paper_scale();
+    let alice = node.register_tenant("alice");
+    let mut session = node.deploy(alice, &workload).unwrap();
+    let stored = Arc::clone(&session.bed_mut().package);
+    node.evict(session).unwrap();
+
+    // A bed on the same node fetching the same CL, whose host serves it
+    // a rewritten copy: its SM enclave refuses the copy, and the
+    // node's stored package is untouched.
+    let shared = node.plane().shared().clone();
+    let config = TestBedConfig {
+        geometry: node_geometry(1),
+        accelerator: workload.accelerator_module(),
+        ..TestBedConfig::quick()
+    };
+    let mut bed = TestBedBuilder::new(config)
+        .on_platform(shared.clone())
+        .build()
+        .unwrap();
+    assert!(Arc::ptr_eq(&bed.package, &stored), "served from the store");
+    substitute_stored_bitstream(&mut bed);
+    let error = secure_boot(&mut bed, BootPlan::single())
+        .map_err(SalusError::from)
+        .unwrap_err();
+    assert_eq!(error, SalusError::DigestMismatch);
+    assert!(!Arc::ptr_eq(&bed.cl_store, &stored), "the copy was private");
+    let metadata = stored.metadata();
+    assert_eq!(
+        package_digest(
+            &stored.compiled.wire,
+            &metadata.locations,
+            metadata.partition,
+            metadata.family
+        ),
+        stored.digest
+    );
+
+    // A later honest deploy of the same CL on the node still boots.
+    let bob = node.register_tenant("bob");
+    let mut session = node.deploy(bob, &workload).unwrap();
+    assert!(session.report().all_attested());
+    assert!(Arc::ptr_eq(&session.bed_mut().package, &stored));
+    assert_eq!(shared.cl_store.len(), 1);
 }

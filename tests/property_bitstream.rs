@@ -8,6 +8,7 @@ use salus::bitstream::image::LogicImage;
 use salus::bitstream::manipulate::{read_cell, rewrite_cell};
 use salus::bitstream::netlist::{BramCell, Module, Netlist};
 use salus::core::dev::develop_cl;
+use salus::crypto::crc32::crc32_patch;
 use salus::fpga::device::Device;
 use salus::fpga::geometry::DeviceGeometry;
 use salus::fpga::wire::{crc32, parse, Packet, Reg};
@@ -106,6 +107,33 @@ proptest! {
         prop_assert_eq!(image.modules().len(), netlist.modules().len());
     }
 
+    /// CRC-32 is linear: patching a stream's CRC from the XOR difference
+    /// of one rewritten span alone gives the CRC of the whole rewritten
+    /// stream, wherever the span sits and however long it is.
+    #[test]
+    fn patched_crc_equals_a_full_recompute(
+        stream in prop::collection::vec(any::<u8>(), 1..4096),
+        at_seed in any::<usize>(),
+        len_seed in any::<usize>(),
+        fill in prop::collection::vec(any::<u8>(), 1..96),
+    ) {
+        let at = at_seed % stream.len();
+        let span = 1 + len_seed % (stream.len() - at).min(fill.len());
+        let mut rewritten = stream.clone();
+        rewritten[at..at + span].copy_from_slice(&fill[..span]);
+        let delta: Vec<u8> = stream[at..at + span]
+            .iter()
+            .zip(&fill[..span])
+            .map(|(old, new)| old ^ new)
+            .collect();
+        let trailing = (stream.len() - at - span) as u64;
+        prop_assert_eq!(
+            crc32_patch(crc32(&stream), &delta, trailing),
+            crc32(&rewritten)
+        );
+        prop_assert_eq!(crc32(&rewritten), crc32_bitwise(&rewritten));
+    }
+
     /// Loading any corrupted stream never silently configures: either
     /// the load errors, or (for readback-area corruption beyond CRC
     /// coverage) the partition content equals the corrupted stream's
@@ -136,7 +164,8 @@ proptest! {
 }
 
 /// CRC-32 one bit at a time, with no table: an oracle independent of
-/// the slicing tables behind `wire::crc32`.
+/// both kernels behind `wire::crc32`, the PCLMULQDQ fold and the
+/// slicing tables.
 fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &byte in data {

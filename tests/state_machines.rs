@@ -63,7 +63,7 @@ fn sm_app_requires_device_key_before_preparation() {
     // Metadata present, key absent:
     let cl = bed.cl_store.clone();
     assert!(matches!(
-        bed.sm_app.prepare_bitstream(&cl),
+        bed.sm_app.prepare_bitstream(&cl.compiled.wire),
         Err(SalusError::KeyDistributionRefused(_))
     ));
 }
