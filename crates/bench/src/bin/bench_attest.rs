@@ -37,7 +37,7 @@ struct ArmedLane {
     tenant: TenantId,
     workload: Box<dyn Workload>,
     shell: Shell,
-    stale: Vec<u8>,
+    stale: std::sync::Arc<Vec<u8>>,
 }
 
 /// Deploys `tenant`, captures a stale encrypted stream, rotates the
@@ -128,7 +128,7 @@ fn run() -> Result<(), SalusError> {
                 .set_load_attack(LoadAttack::Replace(armed.stale.clone()));
             armed
                 .shell
-                .deploy_bitstream(&armed.stale)
+                .deploy_bitstream(armed.stale.clone())
                 .expect("replay loads");
             armed.shell.set_load_attack(LoadAttack::Honest);
         }

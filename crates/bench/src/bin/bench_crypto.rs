@@ -11,8 +11,10 @@
 //! output is validated against the current implementation before
 //! anything is timed, so the speedups compare equal work.
 //!
-//! Results go to stdout and `BENCH_crypto.json` so future PRs can
-//! compare against this PR's numbers on the same machine.
+//! Every throughput row is the median of five timed runs, with the
+//! quartiles beside it (`mbps_q1`, `mbps_q3`), so a change can be told
+//! from run-to-run noise. Results go to stdout and `BENCH_crypto.json`
+//! for comparison on the same machine.
 
 use std::time::Instant;
 
@@ -208,15 +210,66 @@ fn seed_gcm_seal(cipher: &Aes256, nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]
     out
 }
 
-/// Times `f` over `iters` runs and returns MB/s for `bytes` per run.
-fn throughput_mbps(bytes: usize, iters: u32, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// Timed runs behind every throughput row.
+const RUNS: usize = 5;
+
+/// A throughput row's spread: the median and quartiles (MiB/s) of
+/// [`RUNS`] timed runs.
+#[derive(Debug, Clone, Copy)]
+struct Throughput {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Throughput {
+    /// The row's JSON fields: `mbps` is the median.
+    fn fields(self) -> [(&'static str, serde_json::Value); 4] {
+        [
+            ("mbps", self.median.into()),
+            ("mbps_q1", self.q1.into()),
+            ("mbps_q3", self.q3.into()),
+            ("runs", (RUNS as u64).into()),
+        ]
     }
-    let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
-    bytes as f64 / per_iter / (1024.0 * 1024.0)
+}
+
+/// Times [`RUNS`] runs of `iters` calls of `f` each, after one warm-up
+/// call, and returns the spread of MiB/s for `bytes` per call.
+fn throughput_mbps(bytes: usize, iters: u32, mut f: impl FnMut()) -> Throughput {
+    f(); // warm-up
+    let mut runs: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
+            bytes as f64 / per_iter / (1024.0 * 1024.0)
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    // Nearest-rank quartiles of the sorted runs.
+    let rank = |q: f64| runs[((q * RUNS as f64).ceil() as usize).clamp(1, RUNS) - 1];
+    Throughput {
+        median: rank(0.5),
+        q1: rank(0.25),
+        q3: rank(0.75),
+    }
+}
+
+/// A JSON object of `fixed` fields followed by `throughput`'s.
+fn row(
+    fixed: impl IntoIterator<Item = (&'static str, serde_json::Value)>,
+    throughput: Throughput,
+) -> serde_json::Value {
+    serde_json::Value::Object(
+        fixed
+            .into_iter()
+            .chain(throughput.fields())
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 /// Times `f` over `iters` runs and returns seconds per run.
@@ -251,16 +304,16 @@ fn main() {
             "seed GCM baseline diverged"
         );
 
-        // And once past the parallel threshold, so the parallel GCTR
-        // path is cross-checked against the seed implementation, not
-        // just against itself.
-        let big = (0..3 * salus_crypto::parallel::MIN_BYTES_PER_THREAD + 13)
+        // And over a long, ragged message, so the wide GCTR and GHASH
+        // runs are cross-checked against the seed implementation, not
+        // just against the other kernels.
+        let big = (0..786_445)
             .map(|i| (i * 11 % 256) as u8)
             .collect::<Vec<u8>>();
         assert_eq!(
             seed_gcm_seal(&cipher, &[9; 12], b"aad", &big),
             gcm.seal(&[9; 12], b"aad", &big),
-            "parallel GCM diverged from the seed baseline"
+            "bulk GCM diverged from the seed baseline"
         );
     }
 
@@ -313,14 +366,19 @@ fn main() {
             ("aes256_gcm_open", gcm_open, seed_gcm),
             ("encrypt_for_device", for_device, seed_gcm),
         ] {
-            let speedup = mbps / baseline;
-            println!("{label:>6}  {name:<26} {mbps:>9.1} MiB/s  ({speedup:.1}x vs seed)");
-            rows.push(serde_json::json!({
-                "size": label.to_owned(),
-                "bench": name.to_owned(),
-                "mbps": mbps,
-                "speedup_vs_seed": speedup,
-            }));
+            let speedup = mbps.median / baseline.median;
+            println!(
+                "{label:>6}  {name:<26} {:>9.1} MiB/s  (IQR {:.1}–{:.1}; {speedup:.1}x vs seed)",
+                mbps.median, mbps.q1, mbps.q3
+            );
+            rows.push(row(
+                [
+                    ("size", label.into()),
+                    ("bench", name.into()),
+                    ("speedup_vs_seed", speedup.into()),
+                ],
+                mbps,
+            ));
         }
         println!();
     }
@@ -350,14 +408,19 @@ fn main() {
             ("crc32", crc),
             ("crc32_portable", crc_portable),
         ] {
-            println!("{label:>9}  {name:<23} {mbps:>9.1} MiB/s");
-            rows.push(serde_json::json!({
-                "size": label.to_owned(),
-                "bytes": size as u64,
-                "bench": name.to_owned(),
-                "mbps": mbps,
-                "unit": "MiB/s",
-            }));
+            println!(
+                "{label:>9}  {name:<23} {:>9.1} MiB/s  (IQR {:.1}–{:.1})",
+                mbps.median, mbps.q1, mbps.q3
+            );
+            rows.push(row(
+                [
+                    ("size", label.into()),
+                    ("bytes", (size as u64).into()),
+                    ("bench", name.into()),
+                    ("unit", "MiB/s".into()),
+                ],
+                mbps,
+            ));
         }
     }
     println!();
@@ -379,10 +442,10 @@ fn main() {
     let sip_mbps = throughput_mbps(MIB, 32, || {
         std::hint::black_box(SipHash24::mac(&sip_key, &window));
     });
-    let build_serial = secs_per_op(8, || {
+    let build_serial = throughput_mbps(MIB, 8, || {
         std::hint::black_box(MerkleTree::build(&merkle_key, &window, MERKLE_CHUNK).root());
     });
-    let build_parallel = secs_per_op(8, || {
+    let build_parallel = throughput_mbps(MIB, 8, || {
         std::hint::black_box(MerkleTree::build_parallel(&merkle_key, &window, MERKLE_CHUNK).root());
     });
     let mut tree = MerkleTree::build(&merkle_key, &window, MERKLE_CHUNK);
@@ -390,27 +453,27 @@ fn main() {
     let update_1chunk = secs_per_op(64, || {
         std::hint::black_box(tree.update_chunks(&[(512, chunk)]));
     });
-    let incremental_speedup = build_serial / update_1chunk;
+    // Seconds per full build at the median rate, over one refresh.
+    let incremental_speedup = 1.0 / build_serial.median / update_1chunk;
 
     for (name, mbps) in [
         ("sha256_digest", sha_mbps),
         ("siphash24_mac", sip_mbps),
-        (
-            "merkle_build_serial",
-            MIB as f64 / build_serial / (1024.0 * 1024.0),
-        ),
-        (
-            "merkle_build_parallel",
-            MIB as f64 / build_parallel / (1024.0 * 1024.0),
-        ),
+        ("merkle_build_serial", build_serial),
+        ("merkle_build_parallel", build_parallel),
     ] {
-        println!("  1MiB  {name:<26} {mbps:>9.1} MiB/s");
-        rows.push(serde_json::json!({
-            "size": "1MiB",
-            "bench": name.to_owned(),
-            "mbps": mbps,
-            "unit": "MiB/s",
-        }));
+        println!(
+            "  1MiB  {name:<26} {:>9.1} MiB/s  (IQR {:.1}–{:.1})",
+            mbps.median, mbps.q1, mbps.q3
+        );
+        rows.push(row(
+            [
+                ("size", "1MiB".into()),
+                ("bench", name.into()),
+                ("unit", "MiB/s".into()),
+            ],
+            mbps,
+        ));
     }
     println!(
         "  1MiB  merkle_update_1chunk       {:>9.1} µs/op  ({incremental_speedup:.0}x vs full rebuild)",

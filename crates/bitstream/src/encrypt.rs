@@ -42,19 +42,6 @@ pub fn encrypt_for_device(
     salus_fpga::wire::build_encrypted_stream(key_device, nonce, device_dna, plain_wire)
 }
 
-/// Like [`encrypt_for_device`] but reusing an already-initialised GCM
-/// context, so multi-partition deployments pay for key setup (AES
-/// schedule + GHASH tables) once per `Key_device` rather than once per
-/// partition.
-pub fn encrypt_for_device_with(
-    plain_wire: &[u8],
-    cipher: &salus_crypto::gcm::AesGcm256,
-    nonce: &[u8; 12],
-    device_dna: u64,
-) -> Vec<u8> {
-    salus_fpga::wire::build_encrypted_stream_with(cipher, nonce, device_dna, plain_wire)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -239,7 +239,7 @@ mod tests {
         let geometry = DeviceGeometry::tiny();
         let mut config = salus_fpga::frame::ConfigMemory::blank(geometry.partitions[0]);
         config
-            .reconfigure(vec![0x99; geometry.partitions[0].config_bytes()])
+            .reconfigure(&[&vec![0x99; geometry.partitions[0].config_bytes()]])
             .unwrap();
         assert!(matches!(
             LogicImage::decode(&config),

@@ -31,12 +31,28 @@ pub fn rewrite_cell(
     rewrite_cells(wire_stream, &[(location, new_contents)])
 }
 
-/// Rewrites several cells in one pass: the stream is copied once, each
-/// cell's reserved capacity is written where it sits in the FDRI
-/// payload (new contents, then zeros — stale secret bytes must not
-/// survive a shorter rewrite), and the CRC word is patched from the
-/// changed bytes alone (see [`crc32_patch`]). Nothing else of the stream
-/// is read or written, so the cost is the copy plus the cells.
+/// Rewrites several cells in one pass over a copy of the stream: see
+/// [`rewrite_cells_in_place`], which this runs on the copy.
+///
+/// # Errors
+///
+/// Same conditions as [`rewrite_cells_in_place`].
+pub fn rewrite_cells(
+    wire_stream: &[u8],
+    updates: &[(&CellLocation, &[u8])],
+) -> Result<Vec<u8>, BitstreamError> {
+    let mut out = wire_stream.to_vec();
+    rewrite_cells_in_place(&mut out, updates)?;
+    Ok(out)
+}
+
+/// Rewrites several cells of a stream where it lies: each cell's
+/// reserved capacity is written where it sits in the FDRI payload (new
+/// contents, then zeros — stale secret bytes must not survive a shorter
+/// rewrite), and the CRC word is patched from the changed bytes alone
+/// (see [`crc32_patch`]). Nothing else of the stream is read or
+/// written, so the cost is the cells. Every update is checked before
+/// any is written: on error the stream is unchanged.
 ///
 /// The CRC word is patched, not recomputed: a stream whose CRC was wrong
 /// stays wrong, just as every byte outside the cells stays as it was.
@@ -49,10 +65,10 @@ pub fn rewrite_cell(
 ///   lies outside the FDRI payload,
 /// * [`BitstreamError::NonCanonical`] if the stream is not laid out as
 ///   [`compile`](crate::compile::compile) emits it.
-pub fn rewrite_cells(
-    wire_stream: &[u8],
+pub fn rewrite_cells_in_place(
+    wire_stream: &mut [u8],
     updates: &[(&CellLocation, &[u8])],
-) -> Result<Vec<u8>, BitstreamError> {
+) -> Result<(), BitstreamError> {
     let layout = CanonicalLayout::of(wire_stream)?;
     let spans = updates
         .iter()
@@ -67,12 +83,11 @@ pub fn rewrite_cells(
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    let mut out = wire_stream.to_vec();
-    let mut crc = layout.crc_word(&out);
+    let mut crc = layout.crc_word(wire_stream);
     let mut delta = Vec::new();
     for (span, (_, new_contents)) in spans.into_iter().zip(updates) {
         let trailing = (layout.payload_end - span.end) as u64;
-        let cell = &mut out[span];
+        let cell = &mut wire_stream[span];
         delta.clear();
         delta.extend(
             cell.iter()
@@ -83,8 +98,8 @@ pub fn rewrite_cells(
         cell.fill(0);
         cell[..new_contents.len()].copy_from_slice(new_contents);
     }
-    out[layout.crc_at..layout.crc_at + 4].copy_from_slice(&crc.to_be_bytes());
-    Ok(out)
+    wire_stream[layout.crc_at..layout.crc_at + 4].copy_from_slice(&crc.to_be_bytes());
+    Ok(())
 }
 
 /// Reads a placed cell's bytes out of a plaintext wire stream (the
@@ -572,6 +587,26 @@ mod tests {
         let out = rewrite_cells(&c.wire, &[(ka, &[1; 32]), (ks, &[2; 32])]).unwrap();
         assert_eq!(read_cell(&out, ka).unwrap(), vec![1; 32]);
         assert_eq!(read_cell(&out, ks).unwrap(), vec![2; 32]);
+    }
+
+    #[test]
+    fn in_place_rewrite_checks_every_update_before_writing_any() {
+        // The second update is too large for its cell: the first must
+        // not have been written either.
+        let c = compiled();
+        let ka = c.placement.require("top/sm/key_attest").unwrap();
+        let ks = c.placement.require("top/sm/key_session").unwrap();
+        let mut stream = c.wire.clone();
+        assert!(matches!(
+            rewrite_cells_in_place(&mut stream, &[(ka, &[1; 32]), (ks, &[2; 33])]),
+            Err(BitstreamError::ManipulationTooLarge { .. })
+        ));
+        assert_eq!(stream, c.wire);
+        rewrite_cells_in_place(&mut stream, &[(ka, &[1; 32]), (ks, &[2; 32])]).unwrap();
+        assert_eq!(
+            stream,
+            rewrite_cells(&c.wire, &[(ka, &[1; 32]), (ks, &[2; 32])]).unwrap()
+        );
     }
 
     #[test]

@@ -941,8 +941,10 @@ fn exec_step(
                 .sm_app
                 .prepared_bitstream()
                 .ok_or(SalusError::Malformed("machine: no encrypted bitstream"))?;
+            // The sealed stream crosses to the shell by reference: on an
+            // honest link the shell loads and logs the enclave's buffer.
             let h2f = bed.fabric.channel(&bed.names.host, &bed.names.fpga);
-            let observed = send(&h2f, encrypted, plan)?;
+            let observed = h2f.transmit_shared(encrypted, plan.retry.deadline)?;
             bed.cost.charge(&clock, Op::IcapProgram(observed.len()));
             bed.shell.deploy_bitstream(observed)?;
         }
@@ -1144,6 +1146,49 @@ mod tests {
         // Channel still works after the re-boot.
         bed.secure_reg_write(1, 2).unwrap();
         assert_eq!(bed.secure_reg_read(1).unwrap(), 2);
+    }
+
+    #[test]
+    fn an_honest_link_hands_the_shell_the_enclaves_own_stream() {
+        // The sealed stream is one allocation: the SM enclave's parked
+        // copy, the host→FPGA delivery and the shell's log share it.
+        let mut bed = TestBed::provision(TestBedConfig::quick());
+        secure_boot(&mut bed, BootPlan::single()).unwrap();
+        let sealed = bed.sm_app.prepared_bitstream().expect("prepared");
+        let logged = bed.shell.observed_bitstreams().pop().expect("logged");
+        assert!(std::sync::Arc::ptr_eq(&logged, sealed));
+    }
+
+    #[test]
+    fn a_tampered_load_fails_only_that_boot_and_the_parked_stream_survives() {
+        use salus_net::adversary::BitFlipper;
+        use std::sync::Arc;
+
+        let mut bed = TestBed::provision(TestBedConfig::quick());
+        secure_boot(&mut bed, BootPlan::single()).unwrap();
+        let parked = Arc::clone(bed.sm_app.prepared_bitstream().expect("prepared"));
+        let sealed = parked.to_vec();
+
+        // The host→FPGA link flips a ciphertext bit of a warm-image
+        // reload: the ICAP refuses the envelope and that boot fails.
+        let h2f = bed.fabric.channel(&bed.names.host, &bed.names.fpga);
+        h2f.interpose(BitFlipper::new(0, parked.len() / 2));
+        assert!(matches!(reload_image(&mut bed), Err(BootFailure::Fatal(_))));
+        h2f.clear_adversary();
+        let logged = bed.shell.observed_bitstreams().pop().expect("logged");
+        assert!(!Arc::ptr_eq(&logged, &parked), "the shell saw the copy");
+
+        // The flip landed in a copy: the parked stream is the same
+        // buffer with the same bytes, and reloads warm.
+        assert!(Arc::ptr_eq(
+            bed.sm_app.prepared_bitstream().expect("still parked"),
+            &parked
+        ));
+        assert_eq!(*parked, sealed);
+        let outcome = reload_image(&mut bed).unwrap();
+        assert!(outcome.report.cl_attested);
+        bed.secure_reg_write(3, 4).unwrap();
+        assert_eq!(bed.secure_reg_read(3).unwrap(), 4);
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn deploy_multi_rp(
     for (partition, result) in prepared.into_iter().enumerate() {
         let mut agent = result?;
         let encrypted = agent.prepared_bitstream().expect("prepared in phase 1");
-        shell.deploy_bitstream(encrypted)?;
+        shell.deploy_bitstream(std::sync::Arc::clone(encrypted))?;
 
         let sm_logic = SmLogic::bind(shell.device(), partition)?;
         let request = agent.attest_request()?;

@@ -310,7 +310,7 @@ mod tests {
 
         // Runtime replacement: shell silently reloads the old stream.
         bed.shell.set_load_attack(LoadAttack::Replace(old.clone()));
-        bed.shell.deploy_bitstream(&old).unwrap();
+        bed.shell.deploy_bitstream(old).unwrap();
 
         assert_eq!(heartbeat(&mut bed).unwrap(), Heartbeat::Compromised);
     }

@@ -8,7 +8,10 @@
 //! Nothing here holds a hardcoded secret — every key is generated or
 //! received at deployment time, per Kerckhoff's doctrine (§4.6).
 
-use salus_bitstream::manipulate::rewrite_cells;
+use std::sync::Arc;
+
+use salus_bitstream::manipulate::rewrite_cells_in_place;
+use salus_fpga::wire::build_encrypted_stream_patched;
 use salus_tee::enclave::Enclave;
 use salus_tee::local::{respond, HandshakeMsg, SecureChannel};
 use salus_tee::measurement::Measurement;
@@ -55,8 +58,9 @@ pub struct SmApp {
     /// [`prepare_bitstream`](SmApp::prepare_bitstream). The platform
     /// control plane harvests this on eviction so a warm redeploy can
     /// reload the identical ciphertext without re-running manipulation
-    /// and encryption.
-    prepared: Option<Vec<u8>>,
+    /// and encryption. It is immutable once sealed, so the channel to the
+    /// shell and the shell's log share it rather than copy it.
+    prepared: Option<Arc<Vec<u8>>>,
 }
 
 impl std::fmt::Debug for SmApp {
@@ -191,22 +195,24 @@ impl SmApp {
     /// Valid only for the (device, partition) pair it was prepared for —
     /// the partition index is baked into the package digest and the
     /// ciphertext is GCM-bound to the device DNA.
-    pub(crate) fn prepared_bitstream(&self) -> Option<&[u8]> {
-        self.prepared.as_deref()
+    pub(crate) fn prepared_bitstream(&self) -> Option<&Arc<Vec<u8>>> {
+        self.prepared.as_ref()
     }
 
     /// Step ⑤: verifies the fetched plaintext bitstream against `H`,
     /// injects fresh `Key_attest` / `Key_session` / `Ctr_session` by
     /// bitstream manipulation, and encrypts the result for the target
-    /// device. Returns the encrypted stream for the shell; the enclave
-    /// keeps it, so an evicted deployment can reload it warm.
+    /// device. The CL is copied once, straight into the ENC payload of
+    /// the stream for the shell, and manipulated and sealed there.
+    /// Returns that stream; the enclave keeps it, so an evicted
+    /// deployment can reload it warm.
     ///
     /// # Errors
     ///
     /// * [`SalusError::DigestMismatch`] when the fetched bitstream is
     ///   not the expected one,
     /// * state errors when metadata / device key / DNA are missing.
-    pub fn prepare_bitstream(&mut self, cl_bitstream: &[u8]) -> Result<&[u8], SalusError> {
+    pub fn prepare_bitstream(&mut self, cl_bitstream: &[u8]) -> Result<&Arc<Vec<u8>>, SalusError> {
         let metadata = self
             .metadata
             .as_ref()
@@ -230,40 +236,36 @@ impl SmApp {
             return Err(SalusError::DigestMismatch);
         }
 
-        // 2. Generate the RoT and session secrets inside the enclave.
+        // 2. Generate the RoT and session secrets inside the enclave,
+        // then the deployment's fresh nonce.
         let key_attest = KeyAttest::from_bytes(self.enclave.random_array());
         let key_session = KeySession::from_bytes(self.enclave.random_array());
         let ctr_seed = u64::from_le_bytes(self.enclave.random_array());
         let ctr = CtrSession::from_seed(ctr_seed);
+        let nonce: [u8; 12] = self.enclave.random_array();
 
-        // 3. Inject them by bitstream-level manipulation.
-        let manipulated = rewrite_cells(
-            cl_bitstream,
-            &[
-                (
-                    &metadata.locations.key_attest,
-                    key_attest.as_bytes().as_slice(),
-                ),
-                (
-                    &metadata.locations.key_session,
-                    key_session.as_bytes().as_slice(),
-                ),
-                (
-                    &metadata.locations.ctr_session,
-                    ctr.to_bram_bytes().as_slice(),
-                ),
-            ],
-        )?;
-
-        // 4. Encrypt for the target device; fresh nonce per deployment.
+        // 3. Inject them by bitstream-level manipulation of the copy in
+        // the ENC payload, and 4. encrypt it there for the target device.
         // The GCM context is cached across deployments under one key.
         let key_bytes = *key_device.as_bytes();
         let cipher = self
             .gcm
             .get_or_insert_with(|| salus_crypto::gcm::AesGcm256::new(&key_bytes));
-        let nonce: [u8; 12] = self.enclave.random_array();
-        let encrypted =
-            salus_bitstream::encrypt::encrypt_for_device_with(&manipulated, cipher, &nonce, dna);
+        let ctr_bytes = ctr.to_bram_bytes();
+        let cells = [
+            (
+                &metadata.locations.key_attest,
+                key_attest.as_bytes().as_slice(),
+            ),
+            (
+                &metadata.locations.key_session,
+                key_session.as_bytes().as_slice(),
+            ),
+            (&metadata.locations.ctr_session, ctr_bytes.as_slice()),
+        ];
+        let encrypted = build_encrypted_stream_patched(cipher, &nonce, dna, cl_bitstream, |cl| {
+            rewrite_cells_in_place(cl, &cells)
+        })?;
 
         self.injected = Some(InjectedSecrets {
             key_attest,
@@ -271,7 +273,7 @@ impl SmApp {
             ctr_seed,
         });
         self.cl_attested = false;
-        Ok(self.prepared.insert(encrypted))
+        Ok(self.prepared.insert(Arc::new(encrypted)))
     }
 
     /// Step ⑦ part 1: issues a fresh CL-attestation challenge.

@@ -3,7 +3,9 @@
 //! Three encrypt paths share one key schedule:
 //!
 //! * **Hardware path**: on x86-64 CPUs with AES-NI, `encrypt_block` and
-//!   the CTR/GCTR keystream loop run `aesenc`, detected per call.
+//!   the CTR/GCTR keystream loop run `aesenc`, detected per call; with
+//!   VAES and AVX-512 the keystream loop runs four blocks per
+//!   instruction.
 //! * **Portable path** (`encrypt_block` everywhere else): a 32-bit
 //!   T-table round function. A single 1 KiB table `TE0` holds
 //!   `MixColumn(SubByte(x))` for the first row; the other three row
@@ -37,6 +39,31 @@ pub const BLOCK_SIZE: usize = 16;
 
 /// A 16-byte AES block.
 pub type Block = [u8; BLOCK_SIZE];
+
+/// How a keystream steps from one counter block to the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CounterKind {
+    /// The whole block is one big-endian 128-bit integer, plus one per
+    /// block, wrapping (CTR mode).
+    Be128,
+    /// Only the last four bytes count, as a big-endian 32-bit integer
+    /// wrapping within them (GCM's `inc32`).
+    Inc32,
+}
+
+impl CounterKind {
+    /// The counter block `n` steps after `counter`, both as big-endian
+    /// integers.
+    pub(crate) fn advance(self, counter: u128, n: u128) -> u128 {
+        match self {
+            CounterKind::Be128 => counter.wrapping_add(n),
+            CounterKind::Inc32 => {
+                let low = (counter as u32).wrapping_add(n as u32);
+                counter & !u128::from(u32::MAX) | u128::from(low)
+            }
+        }
+    }
+}
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -278,18 +305,22 @@ impl KeySchedule {
         self.encrypt_block_portable(block);
     }
 
-    /// XORs `E(next_counter())` into each whole block of `data`; a
-    /// trailing partial block is left untouched.
-    fn xor_keystream(&self, data: &mut [u8], mut next_counter: impl FnMut() -> Block) {
+    /// XORs the keystream `E(c₀), E(c₁), …` into each whole block of
+    /// `data`, where `c₀ = first` and each next counter block is `kind`'s
+    /// increment of the one before; a trailing partial block is left
+    /// untouched.
+    fn xor_keystream(&self, data: &mut [u8], first: Block, kind: CounterKind) {
         #[cfg(target_arch = "x86_64")]
-        if crate::hw::xor_keystream(&self.round_keys, data, &mut next_counter) {
+        if crate::hw::xor_keystream(&self.round_keys, data, first, kind) {
             return;
         }
+        let mut counter = u128::from_be_bytes(first);
         for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-            let mut ks = next_counter();
+            let mut ks = counter.to_be_bytes();
             self.encrypt_block_portable(&mut ks);
             let block: &mut Block = chunk.try_into().expect("exact chunk");
             *block = (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(ks)).to_ne_bytes();
+            counter = kind.advance(counter, 1);
         }
     }
 
@@ -365,16 +396,12 @@ macro_rules! aes_variant {
                 self.schedule.encrypt_block_portable(block);
             }
 
-            /// XORs `E(next_counter())` into each whole 16-byte block of
-            /// `data`, drawing one counter block per data block, in
-            /// order; a trailing partial block is left untouched. The
+            /// XORs the keystream `E(first), E(first + 1), …` (counter
+            /// blocks stepped by `kind`) into each whole 16-byte block of
+            /// `data`; a trailing partial block is left untouched. The
             /// CTR and GCTR bulk loop.
-            pub(crate) fn xor_keystream(
-                &self,
-                data: &mut [u8],
-                next_counter: impl FnMut() -> Block,
-            ) {
-                self.schedule.xor_keystream(data, next_counter);
+            pub(crate) fn xor_keystream(&self, data: &mut [u8], first: Block, kind: CounterKind) {
+                self.schedule.xor_keystream(data, first, kind);
             }
 
             /// Encrypts one 16-byte block in place using the
@@ -417,8 +444,8 @@ mod tests {
 
     /// `encrypt` applied to `block` on the dispatched and the portable
     /// kernels, which must agree.
-    fn encrypt_on_both_backends(block: &mut Block, encrypt: impl Fn(&mut Block)) {
-        *block = crate::on_both_backends(|| {
+    fn encrypt_on_every_backend(block: &mut Block, encrypt: impl Fn(&mut Block)) {
+        *block = crate::on_every_backend(|| {
             let mut b = *block;
             encrypt(&mut b);
             b
@@ -436,7 +463,7 @@ mod tests {
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
         ];
-        encrypt_on_both_backends(&mut block, |b| cipher.encrypt_block(b));
+        encrypt_on_every_backend(&mut block, |b| cipher.encrypt_block(b));
         assert_eq!(
             block,
             [
@@ -459,7 +486,7 @@ mod tests {
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
         let cipher = Aes128::new(&key);
         let mut block: Block = core::array::from_fn(|i| (i as u8) * 0x11);
-        encrypt_on_both_backends(&mut block, |b| cipher.encrypt_block(b));
+        encrypt_on_every_backend(&mut block, |b| cipher.encrypt_block(b));
         assert_eq!(
             block,
             [
@@ -474,7 +501,7 @@ mod tests {
         let key: [u8; 32] = core::array::from_fn(|i| i as u8);
         let cipher = Aes256::new(&key);
         let mut block: Block = core::array::from_fn(|i| (i as u8) * 0x11);
-        encrypt_on_both_backends(&mut block, |b| cipher.encrypt_block(b));
+        encrypt_on_every_backend(&mut block, |b| cipher.encrypt_block(b));
         assert_eq!(
             block,
             [
@@ -493,7 +520,7 @@ mod tests {
             let cipher = Aes256::new(&key);
             let original: Block = core::array::from_fn(|i| (i as u8).wrapping_add(seed));
             let mut block = original;
-            encrypt_on_both_backends(&mut block, |b| cipher.encrypt_block(b));
+            encrypt_on_every_backend(&mut block, |b| cipher.encrypt_block(b));
             assert_ne!(block, original, "encryption must change the block");
             cipher.decrypt_block(&mut block);
             assert_eq!(block, original);
@@ -532,7 +559,7 @@ mod tests {
 
             let c128 = Aes128::new(&key128);
             let (mut fast, mut reference) = (block, block);
-            encrypt_on_both_backends(&mut fast, |b| c128.encrypt_block(b));
+            encrypt_on_every_backend(&mut fast, |b| c128.encrypt_block(b));
             c128.encrypt_block_reference(&mut reference);
             assert_eq!(fast, reference, "AES-128 fast path diverged");
             c128.decrypt_block(&mut fast);
@@ -540,7 +567,7 @@ mod tests {
 
             let c256 = Aes256::new(&key256);
             let (mut fast, mut reference) = (block, block);
-            encrypt_on_both_backends(&mut fast, |b| c256.encrypt_block(b));
+            encrypt_on_every_backend(&mut fast, |b| c256.encrypt_block(b));
             c256.encrypt_block_reference(&mut reference);
             assert_eq!(fast, reference, "AES-256 fast path diverged");
             c256.decrypt_block(&mut fast);

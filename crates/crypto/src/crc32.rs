@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn crc_known_values() {
-        crate::on_both_backends(|| {
+        crate::on_every_backend(|| {
             assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
             assert_eq!(crc32(b""), 0);
             assert_eq!(crc32(&[0u8; 4096]), crc32_bitwise(&[0u8; 4096]));
@@ -206,7 +206,7 @@ mod tests {
         for len in 0..=data.len() {
             let expected = crc32_slicing(&data[..len]);
             assert_eq!(
-                crate::on_both_backends(|| crc32(&data[..len])),
+                crate::on_every_backend(|| crc32(&data[..len])),
                 expected,
                 "len {len}"
             );
@@ -227,7 +227,7 @@ mod tests {
                     crc.finish()
                 };
                 assert_eq!(
-                    crate::on_both_backends(split_crc),
+                    crate::on_every_backend(split_crc),
                     expected,
                     "len {len} split at {split}"
                 );
@@ -240,9 +240,9 @@ mod tests {
         // The size of a U200 partition's wire stream.
         let data = HmacDrbg::new(b"crc fold vs slicing", b"3.39 MB").generate(3_389_756);
         let expected = crc32_slicing(&data);
-        assert_eq!(crate::on_both_backends(|| crc32(&data)), expected);
+        assert_eq!(crate::on_every_backend(|| crc32(&data)), expected);
         assert_eq!(
-            crate::on_both_backends(|| {
+            crate::on_every_backend(|| {
                 let mut crc = Crc32::new();
                 crc.update(&data[..4]);
                 crc.update(&data[4..]);

@@ -9,8 +9,8 @@
 //! Ciphertext layout produced by [`seal`](AesGcm256::seal):
 //! `ciphertext || 16-byte tag`.
 
-use crate::aes::{Aes128, Aes256, Block, BLOCK_SIZE};
-use crate::{parallel, CryptoError};
+use crate::aes::{Aes128, Aes256, Block, CounterKind, BLOCK_SIZE};
+use crate::CryptoError;
 
 /// Length of the GCM authentication tag in bytes.
 pub const TAG_SIZE: usize = 16;
@@ -80,9 +80,10 @@ struct GhashKey {
     /// m8[b] = (b as 8-bit poly) * h in the bit-reflected field (index
     /// bit 7 ↔ coefficient x^0).
     m8: [u128; 256],
-    /// `h, h², h³, h⁴`, each times `x⁻¹`, for the carry-less kernel.
+    /// `h, h², …, h¹⁶`, each times `x⁻¹`, for the carry-less kernels:
+    /// the 4-block kernel uses the first four, the 16-block one all.
     #[cfg(target_arch = "x86_64")]
-    clmul_keys: [u128; 4],
+    clmul_keys: [u128; 16],
 }
 
 impl GhashKey {
@@ -97,26 +98,31 @@ impl GhashKey {
             *entry = (lo >> 4) ^ R4[(lo & 0xF) as usize] ^ m4[b >> 4];
         }
         GhashKey {
-            m8,
             #[cfg(target_arch = "x86_64")]
-            clmul_keys: clmul_keys(h),
+            clmul_keys: clmul_keys(h, &m8),
+            m8,
         }
     }
 
     /// Multiplies `x` by `h` using the 8-bit tables (the portable path).
     fn mul_h(&self, x: u128) -> u128 {
-        let mut z = 0u128;
-        // Process bytes from least significant to most significant.
-        for i in 0..16 {
-            let byte = ((x >> (8 * i)) & 0xFF) as usize;
-            if i > 0 {
-                // Shift the accumulator right by 8 with reduction.
-                z = (z >> 8) ^ R8[(z & 0xFF) as usize];
-            }
-            z ^= self.m8[byte];
-        }
-        z
+        mul_by_table(&self.m8, x)
     }
+}
+
+/// Multiplies `x` by the `h` whose byte table is `m8`.
+fn mul_by_table(m8: &[u128; 256], x: u128) -> u128 {
+    let mut z = 0u128;
+    // Process bytes from least significant to most significant.
+    for i in 0..16 {
+        let byte = ((x >> (8 * i)) & 0xFF) as usize;
+        if i > 0 {
+            // Shift the accumulator right by 8 with reduction.
+            z = (z >> 8) ^ R8[(z & 0xFF) as usize];
+        }
+        z ^= m8[byte];
+    }
+    z
 }
 
 /// Shoup's 4-bit table: `m4[i] = (i as 4-bit poly) * h` in the
@@ -146,25 +152,23 @@ fn mulx(v: u128) -> u128 {
     (v >> 1) ^ if lsb != 0 { R } else { 0 }
 }
 
-/// `h, h², h³, h⁴`, each multiplied by `x⁻¹` — in the bit-reflected
-/// field a left shift, folding in `x⁻¹ = x¹²⁷ + x⁶ + x + 1` when the
-/// `x⁰` coefficient shifts out.
+/// `h, h², …, h¹⁶` (powers by the byte table `m8`), each multiplied
+/// by `x⁻¹` — in the bit-reflected field a left shift, folding in
+/// `x⁻¹ = x¹²⁷ + x⁶ + x + 1` when the `x⁰` coefficient shifts out.
 #[cfg(target_arch = "x86_64")]
-fn clmul_keys(h: u128) -> [u128; 4] {
+fn clmul_keys(h: u128, m8: &[u128; 256]) -> [u128; 16] {
     const X_INV: u128 = 0xc2000000_00000000_00000000_00000001;
     let mut power = h;
     core::array::from_fn(|_| {
         let key = (power << 1) ^ if power >> 127 != 0 { X_INV } else { 0 };
-        power = gf_mul(power, h);
+        power = mul_by_table(m8, power);
         key
     })
 }
 
 /// Generic GF(2¹²⁸) multiply in the bit-reflected GCM field, one bit
-/// at a time. Far slower than the Shoup tables — used only to derive
-/// the carry-less kernel's hash-key powers, once per key, and as the
-/// tests' bit-by-bit reference.
-#[cfg(any(target_arch = "x86_64", test))]
+/// at a time: the tests' bit-by-bit reference.
+#[cfg(test)]
 fn gf_mul(x: u128, y: u128) -> u128 {
     const R: u128 = 0xe1000000_00000000_00000000_00000000;
     let mut z = 0u128;
@@ -229,14 +233,16 @@ impl<'k> Ghash<'k> {
 }
 
 /// GHASH of `aad` then `ciphertext` (with the lengths block) under hash
-/// key `h`.
+/// key `h`, with the key's tables built once.
 #[cfg(test)]
-pub(crate) fn ghash(h: &Block, aad: &[u8], ciphertext: &[u8]) -> Block {
+pub(crate) fn ghasher(h: &Block) -> impl Fn(&[u8], &[u8]) -> Block {
     let key = GhashKey::new(h);
-    let mut g = Ghash::new(&key);
-    g.update_padded(aad);
-    g.update_padded(ciphertext);
-    g.finalize(aad.len(), ciphertext.len())
+    move |aad, ciphertext| {
+        let mut g = Ghash::new(&key);
+        g.update_padded(aad);
+        g.update_padded(ciphertext);
+        g.finalize(aad.len(), ciphertext.len())
+    }
 }
 
 macro_rules! gcm_variant {
@@ -282,40 +288,17 @@ macro_rules! gcm_variant {
 
             /// GCTR over `data`: keystream blocks are `E(j0 + i)` with
             /// the 32-bit big-endian increment on the last word (inc32),
-            /// starting at `i = 1`. Large inputs are split across scoped
-            /// worker threads — inc32 counters are position-addressable,
-            /// so each worker derives its chunk's starting counter
-            /// independently. Output is identical to the serial path.
+            /// starting at `i = 1`. It runs on the calling thread: on the
+            /// wide kernel, two scoped workers lost to one at the paper
+            /// CL's 3.39 MB in each of three `bench_crypto` crossover runs.
             fn ctr_apply(&self, j0: &Block, data: &mut [u8]) {
-                let workers = parallel::worker_count(data.len());
-                if workers <= 1 {
-                    self.ctr_apply_from(j0, 1, data);
-                    return;
-                }
-                let chunk_bytes = parallel::chunk_size(data.len(), workers, BLOCK_SIZE);
-                let blocks_per_chunk = (chunk_bytes / BLOCK_SIZE) as u32;
-                std::thread::scope(|scope| {
-                    for (i, chunk) in data.chunks_mut(chunk_bytes).enumerate() {
-                        let start = 1u32.wrapping_add((i as u32).wrapping_mul(blocks_per_chunk));
-                        scope.spawn(move || self.ctr_apply_from(j0, start, chunk));
-                    }
-                });
-            }
-
-            /// Serial GCTR starting `block_offset` inc32 steps past `j0`.
-            fn ctr_apply_from(&self, j0: &Block, block_offset: u32, data: &mut [u8]) {
-                let mut c =
-                    u32::from_be_bytes([j0[12], j0[13], j0[14], j0[15]]).wrapping_add(block_offset);
-                let mut counter = *j0;
-                let mut next_counter = || {
-                    counter[12..].copy_from_slice(&c.to_be_bytes());
-                    c = c.wrapping_add(1);
-                    counter
-                };
+                let kind = CounterKind::Inc32;
+                let first = kind.advance(u128::from_be_bytes(*j0), 1);
                 let (blocks, tail) = data.split_at_mut(data.len() - data.len() % BLOCK_SIZE);
-                self.cipher.xor_keystream(blocks, &mut next_counter);
+                self.cipher.xor_keystream(blocks, first.to_be_bytes(), kind);
                 if !tail.is_empty() {
-                    let mut ks = next_counter();
+                    let whole = (blocks.len() / BLOCK_SIZE) as u128;
+                    let mut ks = kind.advance(first, whole).to_be_bytes();
                     self.cipher.encrypt_block(&mut ks);
                     for (b, k) in tail.iter_mut().zip(ks.iter()) {
                         *b ^= k;
@@ -434,9 +417,9 @@ mod tests {
         let key = [0u8; 16];
         let nonce = [0u8; 12];
         let g = AesGcm128::new(&key);
-        let sealed = crate::on_both_backends(|| g.seal(&nonce, b"", b""));
+        let sealed = crate::on_every_backend(|| g.seal(&nonce, b"", b""));
         assert_eq!(sealed, unhex("58e2fccefa7e3061367f1d57a4e7455a"));
-        let opened = crate::on_both_backends(|| g.open(&nonce, b"", &sealed));
+        let opened = crate::on_every_backend(|| g.open(&nonce, b"", &sealed));
         assert_eq!(opened.unwrap(), b"");
     }
 
@@ -446,7 +429,7 @@ mod tests {
         let key = [0u8; 16];
         let nonce = [0u8; 12];
         let g = AesGcm128::new(&key);
-        let sealed = crate::on_both_backends(|| g.seal(&nonce, b"", &[0u8; 16]));
+        let sealed = crate::on_every_backend(|| g.seal(&nonce, b"", &[0u8; 16]));
         assert_eq!(
             sealed,
             unhex("0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf")
@@ -464,7 +447,7 @@ mod tests {
         );
         let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let g = AesGcm128::new(key[..16].try_into().unwrap());
-        let sealed = crate::on_both_backends(|| g.seal(&nonce, &aad, &plaintext));
+        let sealed = crate::on_every_backend(|| g.seal(&nonce, &aad, &plaintext));
         let expected_ct = unhex(
             "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
              21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
@@ -472,7 +455,7 @@ mod tests {
         let expected_tag = unhex("5bc94fbc3221a5db94fae95ae7121a47");
         assert_eq!(&sealed[..expected_ct.len()], &expected_ct[..]);
         assert_eq!(&sealed[expected_ct.len()..], &expected_tag[..]);
-        let opened = crate::on_both_backends(|| g.open(&nonce, &aad, &sealed));
+        let opened = crate::on_every_backend(|| g.open(&nonce, &aad, &sealed));
         assert_eq!(opened.unwrap(), plaintext);
     }
 
@@ -487,7 +470,7 @@ mod tests {
         );
         let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
         let g = AesGcm256::new(key[..32].try_into().unwrap());
-        let sealed = crate::on_both_backends(|| g.seal(&nonce, &aad, &plaintext));
+        let sealed = crate::on_every_backend(|| g.seal(&nonce, &aad, &plaintext));
         let expected_ct = unhex(
             "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa\
              8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
@@ -566,11 +549,12 @@ mod tests {
     };
 
     #[test]
-    fn mcgrew_viega_vectors_on_both_backends() {
+    fn mcgrew_viega_vectors_on_every_backend() {
+        println!("backends: {:?}", crate::backends_run());
         for (case, key, iv, aad, plain, ct, tag) in MCGREW_VIEGA {
             let (key, iv, aad, plain) = (unhex(key), unhex(iv), unhex(aad), unhex(plain));
             let expected = [unhex(ct), unhex(tag)].concat();
-            let (sealed, opened) = crate::on_both_backends(|| match key.len() {
+            let (sealed, opened) = crate::on_every_backend(|| match key.len() {
                 16 => {
                     let g = AesGcm128::new(key[..].try_into().unwrap());
                     let sealed = g.seal(&iv, &aad, &plain);
@@ -694,26 +678,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gctr_matches_serial() {
-        // Above the parallel threshold the scoped-thread GCTR must be
-        // byte-identical to a forced-serial evaluation.
-        let g = AesGcm256::new(&[0x5au8; 32]);
-        let j0 = g.j0(&[7u8; 12]);
-        let len = 3 * crate::parallel::MIN_BYTES_PER_THREAD + 13;
-        let mut par: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        let mut serial = par.clone();
-        g.ctr_apply(&j0, &mut par);
-        g.ctr_apply_from(&j0, 1, &mut serial);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
     fn large_seal_open_roundtrip() {
         let g = AesGcm256::new(&[0x21u8; 32]);
         let nonce = [3u8; 12];
-        let plain: Vec<u8> = (0..3 * crate::parallel::MIN_BYTES_PER_THREAD + 5)
-            .map(|i| (i * 7 % 256) as u8)
-            .collect();
+        let plain: Vec<u8> = (0..786_437).map(|i| (i * 7 % 256) as u8).collect();
         let sealed = g.seal(&nonce, b"dna", &plain);
         assert_eq!(g.open(&nonce, b"dna", &sealed).unwrap(), plain);
     }

@@ -3,9 +3,9 @@
 //!
 //! Everything else in the crate — CTR, GCM's GCTR and hash key, CMAC,
 //! HMAC, HKDF, the DRBG and the Merkle tree — sits on the AES block
-//! cipher and the SHA-256 compression function, and GCM's tag on the
-//! GHASH fold, so these three kernels speed up every layer without an
-//! API change. Output is byte-identical to the portable T-table AES,
+//! cipher, its keystream loop and the SHA-256 compression function, and
+//! GCM's tag on the GHASH fold, so these kernels speed up every layer
+//! without an API change. Output is byte-identical to the portable T-table AES,
 //! scalar SHA-256 and 8-bit-table GHASH, which run whenever a kernel's
 //! features are missing and which the tests compare the kernels
 //! against on every host.
@@ -33,6 +33,19 @@
 //!   its one `unsafe` call follows the check for its one feature
 //!   (`pclmulqdq`); everything else it runs is SSE2, which x86-64
 //!   guarantees.
+//! * **VAES and VPCLMULQDQ** on 512-bit registers (with `avx512f` and
+//!   `avx512bw`; all four features gate both kernels). The keystream
+//!   kernel runs four blocks per `vaesenc` and four registers in
+//!   flight, 16 blocks per iteration. Its counters never leave the
+//!   registers: a [`CounterKind`] says how they step, and each is held
+//!   with its counting word byte-swapped so one lane add steps all four
+//!   blocks — in the last dword for GCM's `inc32`, in the last qword for
+//!   CTR's 128-bit counter, whose call goes to AES-NI instead when its
+//!   low 64 bits would carry. The GHASH kernel multiplies 16 blocks by
+//!   `H¹⁶ … H` per iteration, XOR-folds the four lanes and reduces once
+//!   (Drucker and Gueron, ARITH 2018). Both hand ragged ends to the
+//!   AES-NI and PCLMULQDQ kernels above, which remain the only path on
+//!   CPUs without AVX-512.
 //! * **PCLMULQDQ** again for CRC-32, after Gopal et al., "Fast CRC
 //!   Computation for Generic Polynomials Using PCLMULQDQ Instruction"
 //!   (Intel, 2009): four 128-bit accumulators fold 64 bytes per step
@@ -48,24 +61,36 @@
 //! `is_x86_feature_detected!` check for exactly the features the callee
 //! enables. The kernels themselves are safe code: they use no
 //! pointer-taking intrinsics — blocks move in and out of registers by
-//! value (`_mm_set_epi64x`, `_mm_cvtsi128_si64`) — so every slice access
-//! is bounds-checked as anywhere else.
+//! value (`_mm_set_epi64x`, `_mm512_set_epi64`, `_mm_cvtsi128_si64`) —
+//! so every slice access is bounds-checked as anywhere else.
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_add_epi32, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_alignr_epi8, _mm_and_si128,
-    _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_set_epi32, _mm_set_epi64x,
-    _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-    _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_epi64, _mm_slli_si128, _mm_srli_epi64,
-    _mm_srli_si128, _mm_unpackhi_epi64, _mm_xor_si128,
+    __m128i, __m512i, _mm512_add_epi32, _mm512_add_epi64, _mm512_aesenc_epi128,
+    _mm512_aesenclast_epi128, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128,
+    _mm512_extracti32x4_epi32, _mm512_set_epi32, _mm512_set_epi64, _mm512_setzero_si512,
+    _mm512_shuffle_epi8, _mm512_xor_si512, _mm512_zextsi128_si512, _mm_add_epi32, _mm_aesenc_si128,
+    _mm_aesenclast_si128, _mm_alignr_epi8, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64,
+    _mm_cvtsi32_si128, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32,
+    _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
+    _mm_slli_epi64, _mm_slli_si128, _mm_srli_epi64, _mm_srli_si128, _mm_unpackhi_epi64,
+    _mm_xor_si128,
 };
 
-use crate::aes::{Block, BLOCK_SIZE};
+use crate::aes::{Block, CounterKind, BLOCK_SIZE};
 use crate::sha256::K;
 
-/// Counter blocks in flight per keystream iteration.
+/// Counter blocks in flight per keystream iteration of the AES-NI
+/// kernel.
 const LANES: usize = 8;
+
+/// Blocks per 512-bit register, and registers in flight per iteration
+/// of the wide keystream and GHASH kernels.
+const WIDE_LANES: usize = 4;
+const WIDE_REGS: usize = 4;
+/// Bytes one wide iteration covers: 16 blocks.
+const WIDE_BYTES: usize = WIDE_REGS * WIDE_LANES * BLOCK_SIZE;
 
 /// AES-256 has the longest schedule: 14 rounds, 15 round keys.
 const MAX_ROUND_KEYS: usize = 15;
@@ -77,6 +102,20 @@ fn has_aes() -> bool {
         return false;
     }
     is_x86_feature_detected!("aes")
+}
+
+/// Whether the CPU has the 512-bit AES and carry-less multiply (VAES,
+/// VPCLMULQDQ) plus the AVX-512 foundation and byte/word instructions
+/// the wide kernels use.
+fn has_wide() -> bool {
+    #[cfg(test)]
+    if narrow_forced() {
+        return false;
+    }
+    is_x86_feature_detected!("vaes")
+        && is_x86_feature_detected!("vpclmulqdq")
+        && is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
 }
 
 /// Whether the CPU has the SHA extensions plus the SSSE3 byte shuffle
@@ -102,7 +141,7 @@ fn has_clmul() -> bool {
 
 /// The kernels this host dispatches to, `+`-joined, or `portable`.
 pub(crate) fn backend() -> &'static str {
-    const NAMES: [&str; 8] = [
+    const NAMES: [&str; 16] = [
         "portable",
         "aesni",
         "shani",
@@ -111,8 +150,19 @@ pub(crate) fn backend() -> &'static str {
         "aesni+pclmul",
         "shani+pclmul",
         "aesni+shani+pclmul",
+        "vaes+vpclmul",
+        "aesni+vaes+vpclmul",
+        "shani+vaes+vpclmul",
+        "aesni+shani+vaes+vpclmul",
+        "pclmul+vaes+vpclmul",
+        "aesni+pclmul+vaes+vpclmul",
+        "shani+pclmul+vaes+vpclmul",
+        "aesni+shani+pclmul+vaes+vpclmul",
     ];
-    NAMES[usize::from(has_aes()) | usize::from(has_sha()) << 1 | usize::from(has_clmul()) << 2]
+    NAMES[usize::from(has_aes())
+        | usize::from(has_sha()) << 1
+        | usize::from(has_clmul()) << 2
+        | usize::from(has_wide()) << 3]
 }
 
 /// Encrypts `block` under `round_keys` (the FIPS 197 schedule) with
@@ -127,22 +177,41 @@ pub(crate) fn encrypt_block(round_keys: &[Block], block: &mut Block) -> bool {
     true
 }
 
-/// XORs `E(next_counter())` into each whole 16-byte block of `data`, in
-/// order, with AES-NI, if the CPU has it; a trailing partial block is
-/// left untouched. Returns whether it ran (if not, `next_counter` was
-/// never called).
+/// XORs the keystream `E(c₀), E(c₁), …` into each whole 16-byte block
+/// of `data`, where `c₀ = first` and `kind` steps each counter block to
+/// the next; a trailing partial block is left untouched. Runs the wide
+/// kernel if the CPU has it, else AES-NI if it has that. Returns
+/// whether it ran.
 pub(crate) fn xor_keystream(
     round_keys: &[Block],
     data: &mut [u8],
-    next_counter: impl FnMut() -> Block,
+    first: Block,
+    kind: CounterKind,
 ) -> bool {
+    let first = u128::from_be_bytes(first);
+    let blocks = (data.len() / BLOCK_SIZE) as u128;
+    if has_wide() && !carries_out_of_a_lane(first, blocks, kind) {
+        // SAFETY: `has_wide` just confirmed VAES, VPCLMULQDQ, AVX512F
+        // and AVX512BW — exactly the features `vaes_xor_keystream`
+        // enables.
+        unsafe { vaes_xor_keystream(round_keys, data, first, kind) };
+        return true;
+    }
     if !has_aes() {
         return false;
     }
     // SAFETY: `has_aes` just confirmed AES-NI, the one feature
     // `aes_xor_keystream` enables beyond the x86-64 baseline.
-    unsafe { aes_xor_keystream(round_keys, data, next_counter) };
+    unsafe { aes_xor_keystream(round_keys, data, first, kind) };
     true
+}
+
+/// Whether stepping a `Be128` counter `blocks` times from `first`
+/// carries out of its low 64 bits, which the wide kernel's 64-bit lane
+/// adds cannot follow. An `inc32` counter wraps within its 32-bit lane
+/// by definition, so it never carries.
+fn carries_out_of_a_lane(first: u128, blocks: u128, kind: CounterKind) -> bool {
+    kind == CounterKind::Be128 && u128::from(first as u64) + blocks > u128::from(u64::MAX)
 }
 
 /// Runs the SHA-256 compression function over `N` independent
@@ -164,16 +233,24 @@ pub(crate) fn sha256_compress<const N: usize>(
 }
 
 /// Folds each whole 16-byte block of `blocks` into the GHASH
-/// accumulator `acc` with PCLMULQDQ, if the CPU has it; a trailing
-/// partial block is ignored. `keys` are `H, H², H³, H⁴`, each multiplied
-/// by `x⁻¹` (see [`ghash_blocks`]). Returns whether it ran.
-pub(crate) fn ghash(keys: &[u128; 4], acc: &mut u128, blocks: &[u8]) -> bool {
+/// accumulator `acc` with VPCLMULQDQ (16 blocks per reduction) or
+/// PCLMULQDQ (4), whichever the CPU has; a trailing partial block is
+/// ignored. `keys` are `H, H², …, H¹⁶`, each multiplied by `x⁻¹` (see
+/// [`ghash_blocks`]). Returns whether it ran.
+pub(crate) fn ghash(keys: &[u128; 16], acc: &mut u128, blocks: &[u8]) -> bool {
+    if has_wide() && blocks.len() >= WIDE_BYTES {
+        // SAFETY: `has_wide` just confirmed VAES, VPCLMULQDQ, AVX512F
+        // and AVX512BW — exactly the features `ghash_wide` enables.
+        *acc = unsafe { ghash_wide(keys, *acc, blocks) };
+        return true;
+    }
     if !has_clmul() {
         return false;
     }
+    let narrow = keys[..4].try_into().expect("four keys");
     // SAFETY: `has_clmul` just confirmed PCLMULQDQ, the one feature
     // `ghash_blocks` enables beyond the x86-64 baseline.
-    *acc = unsafe { ghash_blocks(keys, *acc, blocks) };
+    *acc = unsafe { ghash_blocks(narrow, *acc, blocks) };
     true
 }
 
@@ -201,24 +278,26 @@ fn aes_block(round_keys: &[Block], block: &Block) -> Block {
 }
 
 #[target_feature(enable = "aes")]
-fn aes_xor_keystream(
-    round_keys: &[Block],
-    data: &mut [u8],
-    mut next_counter: impl FnMut() -> Block,
-) {
-    let (first, middle, last) = split_schedule(round_keys);
-    let (first, last) = (load(first), load(last));
+fn aes_xor_keystream(round_keys: &[Block], data: &mut [u8], first: u128, kind: CounterKind) {
+    let (first_key, middle, last) = split_schedule(round_keys);
+    let (first_key, last) = (load(first_key), load(last));
     let mut keys = [_mm_setzero_si128(); MAX_ROUND_KEYS];
     for (k, rk) in keys.iter_mut().zip(middle) {
         *k = load(rk);
     }
     let middle = &keys[..middle.len()];
 
+    let mut counter = first;
+    let mut next_counter = || {
+        let block = load(&counter.to_be_bytes());
+        counter = kind.advance(counter, 1);
+        _mm_xor_si128(block, first_key)
+    };
     let mut batches = data.chunks_exact_mut(LANES * BLOCK_SIZE);
     for batch in &mut batches {
-        let mut s = [first; LANES];
+        let mut s = [first_key; LANES];
         for lane in &mut s {
-            *lane = _mm_xor_si128(load(&next_counter()), first);
+            *lane = next_counter();
         }
         for &rk in middle {
             for lane in &mut s {
@@ -230,12 +309,76 @@ fn aes_xor_keystream(
         }
     }
     for out in batches.into_remainder().chunks_exact_mut(BLOCK_SIZE) {
-        let mut s = _mm_xor_si128(load(&next_counter()), first);
+        let mut s = next_counter();
         for &rk in middle {
             s = _mm_aesenc_si128(s, rk);
         }
         xor_into(out, _mm_aesenclast_si128(s, last));
     }
+}
+
+/// The keystream over whole 16-block runs with VAES: each register holds
+/// four counter blocks, and four registers are in flight, so every round
+/// key is one `vaesenc` per four blocks over sixteen. The counters stay
+/// in registers between iterations in a byte order in which a lane add
+/// steps them: `Inc32` keeps its last dword byte-swapped and adds 16 per
+/// iteration in that dword, `Be128` its last qword, adding in that
+/// qword (the caller has ruled out a carry into the upper half). A byte
+/// shuffle turns them back into counter blocks before the first round.
+/// Blocks past the last whole run go through [`aes_xor_keystream`].
+#[target_feature(enable = "vaes,vpclmulqdq,avx512f,avx512bw")]
+fn vaes_xor_keystream(round_keys: &[Block], data: &mut [u8], first: u128, kind: CounterKind) {
+    let (first_key, middle, last) = split_schedule(round_keys);
+    let (first_key, last) = (broadcast(first_key), broadcast(last));
+    let mut keys = [_mm512_setzero_si512(); MAX_ROUND_KEYS];
+    for (k, rk) in keys.iter_mut().zip(middle) {
+        *k = broadcast(rk);
+    }
+    let middle = &keys[..middle.len()];
+
+    // Memory order is little-endian per lane; `swap` reverses the
+    // bytes of the counting word, and is its own inverse.
+    let (swap, step) = match kind {
+        CounterKind::Inc32 => (
+            per_lane(0x0c0d_0e0f_0b0a_0908, 0x0706_0504_0302_0100),
+            _mm512_set_epi32(16, 0, 0, 0, 16, 0, 0, 0, 16, 0, 0, 0, 16, 0, 0, 0),
+        ),
+        CounterKind::Be128 => (
+            per_lane(0x0809_0a0b_0c0d_0e0f, 0x0706_0504_0302_0100),
+            _mm512_set_epi64(16, 0, 16, 0, 16, 0, 16, 0),
+        ),
+    };
+    let mut counters: [__m512i; WIDE_REGS] = core::array::from_fn(|r| {
+        let mut blocks = [0u8; WIDE_LANES * BLOCK_SIZE];
+        for (k, block) in blocks.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+            let n = (WIDE_LANES * r + k) as u128;
+            block.copy_from_slice(&kind.advance(first, n).to_be_bytes());
+        }
+        _mm512_shuffle_epi8(load_wide(&blocks), swap)
+    });
+
+    let (runs, rest) = data.as_chunks_mut::<WIDE_BYTES>();
+    let done = (runs.len() * WIDE_BYTES / BLOCK_SIZE) as u128;
+    for run in runs {
+        let mut s = counters.map(|c| _mm512_xor_si512(_mm512_shuffle_epi8(c, swap), first_key));
+        for &rk in middle {
+            for reg in &mut s {
+                *reg = _mm512_aesenc_epi128(*reg, rk);
+            }
+        }
+        let (quads, _) = run.as_chunks_mut::<{ WIDE_LANES * BLOCK_SIZE }>();
+        for (reg, out) in s.into_iter().zip(quads) {
+            let keystream = _mm512_aesenclast_epi128(reg, last);
+            *out = store_wide(_mm512_xor_si512(load_wide(out), keystream));
+        }
+        for c in &mut counters {
+            *c = match kind {
+                CounterKind::Inc32 => _mm512_add_epi32(*c, step),
+                CounterKind::Be128 => _mm512_add_epi64(*c, step),
+            };
+        }
+    }
+    aes_xor_keystream(round_keys, rest, kind.advance(first, done), kind);
 }
 
 /// SHA-256 over whole 64-byte blocks of `N` messages at once, holding
@@ -370,6 +513,71 @@ fn ghash_blocks(keys: &[u128; 4], acc: u128, blocks: &[u8]) -> u128 {
         acc = reduce(lo, hi);
     }
     to_u128(acc)
+}
+
+/// GHASH over whole 16-block runs with VPCLMULQDQ, after Drucker and
+/// Gueron, "Fast multiplication of binary polynomials with the
+/// forthcoming vectorized VPCLMULQDQ instruction" (ARITH 2018). Each
+/// register multiplies four blocks by four key powers at once; the
+/// products of one run are XORed lane-wise, the four lanes folded into
+/// one, and reduced once:
+/// `acc' = (acc ⊕ c₀)·H¹⁶ ⊕ c₁·H¹⁵ ⊕ … ⊕ c₁₅·H`. Blocks past the last
+/// whole run go through [`ghash_blocks`].
+#[target_feature(enable = "vaes,vpclmulqdq,avx512f,avx512bw")]
+fn ghash_wide(keys: &[u128; 16], acc: u128, blocks: &[u8]) -> u128 {
+    // Register `r` lane `k` carries block `4r + k` of a run, which
+    // pairs with `H^(16 - 4r - k)` = `keys[15 - 4r - k]`.
+    let powers: [__m512i; WIDE_REGS] = core::array::from_fn(|r| {
+        let mut lanes = [0u8; WIDE_LANES * BLOCK_SIZE];
+        for (k, lane) in lanes.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+            lane.copy_from_slice(&keys[15 - WIDE_LANES * r - k].to_le_bytes());
+        }
+        load_wide(&lanes)
+    });
+    // Reverses each block's bytes: a lane then holds
+    // `u128::from_be_bytes(block)`, as in [`load_be`].
+    let reverse = per_lane(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+
+    let mut acc = from_u128(acc);
+    let (runs, rest) = blocks.as_chunks::<WIDE_BYTES>();
+    for run in runs {
+        let (quads, _) = run.as_chunks::<{ WIDE_LANES * BLOCK_SIZE }>();
+        let (mut lo, mut hi, mut mid) = (
+            _mm512_setzero_si512(),
+            _mm512_setzero_si512(),
+            _mm512_setzero_si512(),
+        );
+        for (r, (quad, &h)) in quads.iter().zip(&powers).enumerate() {
+            let mut x = _mm512_shuffle_epi8(load_wide(quad), reverse);
+            if r == 0 {
+                x = _mm512_xor_si512(x, _mm512_zextsi128_si512(acc));
+            }
+            lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128(x, h, 0x00));
+            hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128(x, h, 0x11));
+            mid = _mm512_xor_si512(
+                mid,
+                _mm512_xor_si512(
+                    _mm512_clmulepi64_epi128(x, h, 0x01),
+                    _mm512_clmulepi64_epi128(x, h, 0x10),
+                ),
+            );
+        }
+        let (lo, hi, mid) = (fold_lanes(lo), fold_lanes(hi), fold_lanes(mid));
+        acc = reduce(
+            _mm_xor_si128(lo, _mm_slli_si128(mid, 8)),
+            _mm_xor_si128(hi, _mm_srli_si128(mid, 8)),
+        );
+    }
+    let narrow = keys[..4].try_into().expect("four keys");
+    ghash_blocks(narrow, to_u128(acc), rest)
+}
+
+/// The XOR of a register's four 128-bit lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn fold_lanes(x: __m512i) -> __m128i {
+    let [l0, l1, l2, l3] = split_lanes(x);
+    _mm_xor_si128(_mm_xor_si128(l0, l1), _mm_xor_si128(l2, l3))
 }
 
 /// The 256-bit carry-less product of `a` and `b` as `(low, high)`
@@ -541,6 +749,55 @@ fn store(x: __m128i) -> Block {
     out
 }
 
+/// Four 16-byte blocks as one register, in memory byte order.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_wide(bytes: &[u8; WIDE_LANES * BLOCK_SIZE]) -> __m512i {
+    let (words, _) = bytes.as_chunks::<8>();
+    let w = |i: usize| u64::from_le_bytes(words[i]) as i64;
+    _mm512_set_epi64(w(7), w(6), w(5), w(4), w(3), w(2), w(1), w(0))
+}
+
+/// The inverse of [`load_wide`].
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store_wide(x: __m512i) -> [u8; WIDE_LANES * BLOCK_SIZE] {
+    let mut out = [0u8; WIDE_LANES * BLOCK_SIZE];
+    for (lane, bytes) in split_lanes(x)
+        .into_iter()
+        .zip(out.chunks_exact_mut(BLOCK_SIZE))
+    {
+        bytes.copy_from_slice(&store(lane));
+    }
+    out
+}
+
+/// A register's four 128-bit lanes, lowest first.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn split_lanes(x: __m512i) -> [__m128i; WIDE_LANES] {
+    [
+        _mm512_extracti32x4_epi32::<0>(x),
+        _mm512_extracti32x4_epi32::<1>(x),
+        _mm512_extracti32x4_epi32::<2>(x),
+        _mm512_extracti32x4_epi32::<3>(x),
+    ]
+}
+
+/// One 16-byte block in all four lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn broadcast(block: &Block) -> __m512i {
+    _mm512_broadcast_i32x4(load(block))
+}
+
+/// The 128-bit value `hi:lo` in all four lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn per_lane(hi: i64, lo: i64) -> __m512i {
+    _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo)
+}
+
 /// `out ^= keystream` for one 16-byte block.
 #[inline]
 #[target_feature(enable = "sse2")]
@@ -557,28 +814,58 @@ fn lanes(x: __m128i) -> [u32; 4] {
     [lo as u32, (lo >> 32) as u32, hi as u32, (hi >> 32) as u32]
 }
 
+/// Which kernels a test thread lets the dispatch pick.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kernels {
+    /// Whatever the CPU has.
+    Dispatched,
+    /// Everything but the wide (VAES/VPCLMULQDQ) kernels.
+    Narrow,
+    /// None: the portable code.
+    Portable,
+}
+
 #[cfg(test)]
 thread_local! {
-    static PORTABLE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static FORCED: std::cell::Cell<Kernels> = const { std::cell::Cell::new(Kernels::Dispatched) };
 }
 
 #[cfg(test)]
 fn portable_forced() -> bool {
-    PORTABLE_ONLY.with(std::cell::Cell::get)
+    FORCED.with(std::cell::Cell::get) == Kernels::Portable
 }
 
-/// Runs `f` with the kernels switched off on this thread. Scoped worker
-/// threads the parallel paths spawn still dispatch normally.
 #[cfg(test)]
-pub(crate) fn portable<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
+fn narrow_forced() -> bool {
+    FORCED.with(std::cell::Cell::get) != Kernels::Dispatched
+}
+
+/// Runs `f` with the dispatch limited to `kernels` on this thread.
+/// Scoped worker threads the parallel paths spawn still dispatch
+/// normally.
+#[cfg(test)]
+pub(crate) fn forcing<T>(kernels: Kernels, f: impl FnOnce() -> T) -> T {
+    struct Restore(Kernels);
     impl Drop for Restore {
         fn drop(&mut self) {
-            PORTABLE_ONLY.with(|p| p.set(self.0));
+            FORCED.with(|k| k.set(self.0));
         }
     }
-    let _restore = Restore(PORTABLE_ONLY.with(|p| p.replace(true)));
+    let _restore = Restore(FORCED.with(|k| k.replace(kernels)));
     f()
+}
+
+/// Runs `f` with the kernels switched off on this thread.
+#[cfg(test)]
+pub(crate) fn portable<T>(f: impl FnOnce() -> T) -> T {
+    forcing(Kernels::Portable, f)
+}
+
+/// Runs `f` with the wide kernels switched off on this thread.
+#[cfg(test)]
+pub(crate) fn narrow<T>(f: impl FnOnce() -> T) -> T {
+    forcing(Kernels::Narrow, f)
 }
 
 #[cfg(test)]
@@ -594,17 +881,28 @@ mod tests {
             && is_x86_feature_detected!("ssse3")
             && is_x86_feature_detected!("sse4.1");
         let clmul = is_x86_feature_detected!("pclmulqdq");
+        let wide = is_x86_feature_detected!("vaes")
+            && is_x86_feature_detected!("vpclmulqdq")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw");
         let schedule = [[0u8; BLOCK_SIZE]; 11];
+        let keystream = || xor_keystream(&schedule, &mut [0; 64], [0; 16], CounterKind::Inc32);
         assert_eq!(encrypt_block(&schedule, &mut [0; BLOCK_SIZE]), aes);
-        assert_eq!(xor_keystream(&schedule, &mut [0; 64], || [0; 16]), aes);
+        assert_eq!(keystream(), aes || wide);
         assert_eq!(sha256_compress(&mut [[0; 8]], [&[0; 64]]), sha);
         assert_eq!(sha256_compress(&mut [[0; 8]; 2], [&[0; 64]; 2]), sha);
-        assert_eq!(ghash(&[0; 4], &mut 0, &[0; 64]), clmul);
+        assert_eq!(ghash(&[0; 16], &mut 0, &[0; 64]), clmul);
+        assert_eq!(ghash(&[0; 16], &mut 0, &[0; WIDE_BYTES]), clmul || wide);
         assert_eq!(crc32(&mut 0, &[0; 64]), clmul);
-        let names: Vec<&str> = [(aes, "aesni"), (sha, "shani"), (clmul, "pclmul")]
-            .into_iter()
-            .filter_map(|(has, name)| has.then_some(name))
-            .collect();
+        let names: Vec<&str> = [
+            (aes, "aesni"),
+            (sha, "shani"),
+            (clmul, "pclmul"),
+            (wide, "vaes+vpclmul"),
+        ]
+        .into_iter()
+        .filter_map(|(has, name)| has.then_some(name))
+        .collect();
         let expected = if names.is_empty() {
             "portable".to_owned()
         } else {
@@ -612,12 +910,18 @@ mod tests {
         };
         assert_eq!(crate::backend(), expected);
 
+        narrow(|| {
+            assert!(!has_wide());
+            assert_eq!(keystream(), aes);
+            assert_eq!(ghash(&[0; 16], &mut 0, &[0; WIDE_BYTES]), clmul);
+            assert_eq!(backend(), expected.replace("+vaes+vpclmul", ""));
+        });
         portable(|| {
             assert!(!encrypt_block(&schedule, &mut [0; BLOCK_SIZE]));
-            assert!(!xor_keystream(&schedule, &mut [0; 64], || [0; 16]));
+            assert!(!keystream());
             assert!(!sha256_compress(&mut [[0; 8]], [&[0; 64]]));
             assert!(!sha256_compress(&mut [[0; 8]; 2], [&[0; 64]; 2]));
-            assert!(!ghash(&[0; 4], &mut 0, &[0; 64]));
+            assert!(!ghash(&[0; 16], &mut 0, &[0; WIDE_BYTES]));
             assert!(!crc32(&mut 0, &[0; 64]));
             assert_eq!(backend(), "portable");
         });
@@ -643,46 +947,85 @@ mod tests {
         }
     }
 
+    /// `len` bytes of a fixed pattern with the keystream from counter
+    /// block `first` XORed in.
+    fn keystream(cipher: &Aes256, kind: CounterKind, first: u128, len: usize) -> Vec<u8> {
+        let mut data: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
+        cipher.xor_keystream(&mut data, first.to_be_bytes(), kind);
+        data
+    }
+
     #[test]
-    fn keystream_kernel_matches_portable_for_every_batch_shape() {
-        // Lengths around the batch boundary, ragged tails left
-        // untouched, counters drawn once per whole block, in order.
+    fn keystream_kernels_agree_for_both_counter_kinds_and_every_block_count() {
+        // Every block count 0..=64 (around the 16-block wide run and the
+        // 8-block AES-NI batch) plus a ragged tail the kernels leave
+        // alone, against the byte-oriented reference cipher. The starts
+        // include a `Be128` counter whose low 64 bits carry at every
+        // point of the call (the wide kernel hands those to AES-NI), one
+        // that reaches `u64::MAX` exactly at 64 blocks without carrying,
+        // the 128-bit wrap, and `inc32` counters wrapping at 2³² inside a
+        // wide run.
+        println!("backends: {:?}", crate::backends_run());
         let cipher = Aes256::new(&[0x3c; 32]);
-        for len in 0..=(3 * LANES * BLOCK_SIZE + 17) {
-            let data: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
-            let run = || {
-                let mut out = data.clone();
-                let mut n = 0u128;
-                cipher.xor_keystream(&mut out, || {
-                    n += 1;
-                    (n * 0x0101_0101).to_be_bytes()
-                });
-                (out, n)
-            };
-            let (hw, drawn) = run();
-            assert_eq!(portable(run), (hw.clone(), drawn), "len {len}");
-            assert_eq!(drawn, (len / BLOCK_SIZE) as u128);
-            let whole = len - len % BLOCK_SIZE;
-            assert_eq!(&hw[whole..], &data[whole..], "tail untouched");
+        let high = 0x0123_4567_89ab_cdef_u128 << 64;
+        let starts = [
+            (CounterKind::Be128, 0x00ff_00ff_u128),
+            (CounterKind::Be128, high | u128::from(u64::MAX - 63)),
+            (CounterKind::Be128, high | u128::from(u64::MAX - 20)),
+            (CounterKind::Be128, u128::MAX - 2),
+            (CounterKind::Inc32, high | 0x0000_0001),
+            (CounterKind::Inc32, high | u128::from(u32::MAX - 5)),
+            (CounterKind::Inc32, high | u128::from(u32::MAX)),
+        ];
+        for (kind, first) in starts {
+            for blocks in 0..=64usize {
+                let len = blocks * BLOCK_SIZE + 7;
+                let out = crate::on_every_backend(|| keystream(&cipher, kind, first, len));
+                let mut expected: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
+                for (n, block) in expected.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+                    let mut ks = kind.advance(first, n as u128).to_be_bytes();
+                    cipher.encrypt_block_reference(&mut ks);
+                    for (b, k) in block.iter_mut().zip(ks) {
+                        *b ^= k;
+                    }
+                }
+                assert_eq!(out, expected, "{kind:?} from {first:#x}, {blocks} blocks");
+            }
         }
     }
 
     #[test]
-    fn ghash_kernel_matches_portable_for_every_length_and_split() {
-        // Every length up to 200 bytes — around the four-block batch and
-        // with ragged tails — split at a random point between AAD and
-        // ciphertext.
-        let mut drbg = HmacDrbg::new(b"pclmul vs byte table", b"hw");
-        for len in 0..=200 {
-            let h: Block = drbg.generate_array();
+    fn keystream_kernels_agree_on_a_paper_sized_stream() {
+        // The compiled paper CL's size, from counters that cross a
+        // 32-bit wrap (`inc32`) and a 64-bit carry (`Be128`) midway.
+        println!("backends: {:?}", crate::backends_run());
+        let cipher = Aes256::new(&[0x5d; 32]);
+        let len = 3_389_756;
+        let middle = (len / BLOCK_SIZE / 2) as u128;
+        for (kind, first) in [
+            (CounterKind::Inc32, u128::from(u32::MAX) - middle),
+            (CounterKind::Be128, u128::from(u64::MAX) - middle),
+            (CounterKind::Be128, 7 << 64),
+        ] {
+            crate::on_every_backend(|| keystream(&cipher, kind, first, len));
+        }
+    }
+
+    #[test]
+    fn ghash_kernels_agree_for_every_length_and_split() {
+        // Every length 0..=1024 bytes (0..=64 blocks, around the
+        // 16-block wide run and the 4-block batch, with ragged tails),
+        // split between AAD and ciphertext at every byte: the wide,
+        // 4-block and byte-table GHASH must agree.
+        println!("backends: {:?}", crate::backends_run());
+        let mut drbg = HmacDrbg::new(b"vpclmul vs pclmul vs byte table", b"hw");
+        for len in 0..=1024 {
+            let ghash = crate::gcm::ghasher(&drbg.generate_array());
             let data = drbg.generate(len);
-            let split = usize::from(drbg.generate_array::<1>()[0]) % (len + 1);
-            let (aad, ciphertext) = data.split_at(split);
-            assert_eq!(
-                crate::gcm::ghash(&h, aad, ciphertext),
-                portable(|| crate::gcm::ghash(&h, aad, ciphertext)),
-                "len {len}, split {split}"
-            );
+            for split in 0..=len {
+                let (aad, ciphertext) = data.split_at(split);
+                crate::on_every_backend(|| ghash(aad, ciphertext));
+            }
         }
     }
 

@@ -29,9 +29,10 @@
 //!
 //! On x86-64 hosts with AES-NI, the SHA extensions and PCLMULQDQ, the
 //! AES block cipher, the SHA-256 compression function, GCM's GHASH and
-//! CRC-32 run on those instructions, detected at run time; every other host
-//! runs the portable code. Both give the same bytes. [`backend`] names
-//! the kernels in use.
+//! CRC-32 run on those instructions, detected at run time; with VAES,
+//! VPCLMULQDQ and AVX-512 as well, the CTR/GCTR keystream and GHASH run
+//! on 512-bit registers. Every other host runs the portable code. All
+//! give the same bytes. [`backend`] names the kernels in use.
 //!
 //! ## Example
 //!
@@ -72,9 +73,11 @@ mod hw;
 pub use error::CryptoError;
 
 /// The AES, SHA-256, GHASH and CRC-32 kernels this host dispatches to: the
-/// x86-64 extensions the CPU has among `aesni`, `shani` and `pclmul`,
-/// `+`-joined in that order (`aesni+shani+pclmul` on a current x86-64
-/// server), otherwise `portable`.
+/// x86-64 extensions the CPU has among `aesni`, `shani`, `pclmul` and
+/// `vaes+vpclmul` (the 512-bit keystream and GHASH kernels, which also
+/// need AVX-512F and AVX-512BW), `+`-joined in that order
+/// (`aesni+shani+pclmul+vaes+vpclmul` on a current x86-64 server),
+/// otherwise `portable`.
 pub fn backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     return hw::backend();
@@ -82,19 +85,46 @@ pub fn backend() -> &'static str {
     "portable"
 }
 
-/// Runs `f` on the dispatched kernels and again on the portable ones,
-/// asserts both runs agree, and returns the result — so a unit test
-/// covers both backends on every host.
+/// Runs `f` on the dispatched kernels, again with the wide kernels
+/// switched off (when the host has them) and again on the portable
+/// code, asserts every run agrees, and returns the result — so a unit
+/// test covers every backend the host can run.
 #[cfg(test)]
-pub(crate) fn on_both_backends<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
+pub(crate) fn on_every_backend<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     let dispatched = f();
     #[cfg(target_arch = "x86_64")]
-    assert_eq!(
-        hw::portable(&f),
-        dispatched,
-        "portable and hardware kernels disagree"
-    );
+    for kernels in [hw::Kernels::Narrow, hw::Kernels::Portable] {
+        assert_eq!(
+            hw::forcing(kernels, &f),
+            dispatched,
+            "{kernels:?} and dispatched kernels disagree"
+        );
+    }
     dispatched
+}
+
+/// The distinct backends [`on_every_backend`] runs on this host, for a
+/// test to say which it covered: CI hosts may lack AVX-512 or even
+/// AES-NI.
+#[cfg(test)]
+pub(crate) fn backends_run() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut names = Vec::new();
+        for kernels in [
+            hw::Kernels::Dispatched,
+            hw::Kernels::Narrow,
+            hw::Kernels::Portable,
+        ] {
+            let name = hw::forcing(kernels, backend);
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+        names
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    vec![backend()]
 }
 
 #[cfg(test)]
@@ -110,7 +140,7 @@ mod pins {
     fn bulk_outputs_are_pinned() {
         // The 1 MiB window `bench_crypto` roots, the CTR keystream over
         // 1 MiB and one GCM seal, on each backend.
-        crate::on_both_backends(|| {
+        crate::on_every_backend(|| {
             let window: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
             let root = MerkleTree::build(&[0x42; 32], &window, 256).root();
             assert_eq!(

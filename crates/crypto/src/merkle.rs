@@ -459,7 +459,7 @@ mod tests {
 
         /// Build, single and batched updates (duplicates, ragged and
         /// empty contents, padding leaves) and path verification all
-        /// agree with the oracle, on both backends.
+        /// agree with the oracle, on every backend.
         #[test]
         fn tree_matches_the_per_leaf_hmac_oracle(
             key in prop::array::uniform32(any::<u8>()),
@@ -491,7 +491,7 @@ mod tests {
             let first = updates[0].0;
             updates.push((first, vec![fill; chunk_size / 2]));
 
-            let (fast, oracle, verdicts) = crate::on_both_backends(|| {
+            let (fast, oracle, verdicts) = crate::on_every_backend(|| {
                 let mut tree = MerkleTree::build(&key, &data, chunk_size);
                 let mut fast = vec![tree.root()];
                 let mut oracle = vec![oracle_root(&key, &row)];
@@ -698,7 +698,7 @@ mod tests {
     #[test]
     fn builds_and_updates_agree_across_backends() {
         let data: Vec<u8> = (0..5000).map(|i| (i * 7 % 256) as u8).collect();
-        crate::on_both_backends(|| {
+        crate::on_every_backend(|| {
             let mut roots = Vec::new();
             for chunk_size in [16usize, 100, 256] {
                 let mut t = MerkleTree::build(&[3; 32], &data, chunk_size);

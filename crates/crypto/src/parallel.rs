@@ -14,10 +14,11 @@
 /// idle: a scoped spawn+join cost 35–47 µs, about 100 KiB of AES-CTR or
 /// 15 KiB of Merkle hashing. Two workers beat inline hashing from about
 /// 256 KiB each; CTR is so fast that two workers only broke even at
-/// about 512 KiB each. The crossover moves with the host: the committed
-/// `BENCH_crypto.json` has two Merkle workers winning from 128 KiB each
-/// and CTR never winning up to 3.39 MB, and a record taken when other
-/// tenants kept the second vCPU busy had Merkle win only at 3.39 MB.
+/// about 512 KiB each. The crossover moves with the host: records have
+/// had two Merkle workers win from 128 KiB to 1 MiB each, and one taken
+/// when other tenants kept the second vCPU busy only at 3.39 MB. On the
+/// 512-bit VAES keystream, two CTR workers lose at every size measured
+/// (up to 3.39 MB), which is why GCM no longer forks.
 pub const MIN_BYTES_PER_THREAD: usize = 256 * 1024;
 
 /// Number of worker threads to use for `len` bytes of bulk crypto:

@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn nist_vectors() {
-        crate::on_both_backends(nist_vectors_hold);
+        crate::on_every_backend(nist_vectors_hold);
     }
 
     fn nist_vectors_hold() {
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn million_a() {
-        let digest = crate::on_both_backends(|| {
+        let digest = crate::on_every_backend(|| {
             let mut h = Sha256::new();
             let chunk = [b'a'; 1000];
             for _ in 0..1000 {
@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        crate::on_both_backends(|| {
+        crate::on_every_backend(|| {
             for split in [0, 1, 17, 55, 56, 63, 64, 65, 119, 120, 500, 999, 1000] {
                 let mut h = Sha256::new();
                 h.update(&data[..split]);
@@ -303,7 +303,7 @@ mod tests {
         // Lengths 0..=1000 cross every padding case: one final block,
         // two (55 < n mod 64), and whole-block messages.
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 256) as u8).collect();
-        crate::on_both_backends(|| {
+        crate::on_every_backend(|| {
             (0..=data.len())
                 .map(|len| Sha256::digest(&data[..len]))
                 .collect::<Vec<_>>()

@@ -27,6 +27,10 @@ pub struct Device {
     static_region: ConfigMemory,
     partitions: Vec<ConfigMemory>,
     dram: Vec<u8>,
+    /// The configuration engine's envelope buffer: kept across loads so
+    /// an encrypted load allocates nothing once the first has sized it,
+    /// and all zeros between loads (see [`ConfigSink::envelope_buffer`]).
+    envelope: Vec<u8>,
 }
 
 impl Device {
@@ -47,6 +51,7 @@ impl Device {
                 .collect(),
             dram: vec![0; geometry.dram_bytes],
             geometry,
+            envelope: Vec::new(),
         }
     }
 
@@ -179,6 +184,13 @@ impl Device {
         icap.process(&mut DeviceSink(self), stream)
     }
 
+    /// The configuration engine's envelope buffer, as the last load left
+    /// it.
+    #[cfg(test)]
+    pub(crate) fn envelope_buffer(&self) -> &[u8] {
+        &self.envelope
+    }
+
     /// Convenience: attempt configuration readback of `partition` via an
     /// FDRO read request (what a malicious shell would issue).
     ///
@@ -220,7 +232,7 @@ impl ConfigSink for DeviceSink<'_> {
         self.0.geometry.family().code()
     }
 
-    fn commit_partition(&mut self, index: usize, frames: Vec<u8>) -> Result<(), FpgaError> {
+    fn commit_partition(&mut self, index: usize, frames: &[&[u8]]) -> Result<(), FpgaError> {
         if index == STATIC_PARTITION {
             return self.0.static_region.reconfigure(frames);
         }
@@ -229,6 +241,10 @@ impl ConfigSink for DeviceSink<'_> {
             .get_mut(index)
             .ok_or(FpgaError::NoSuchPartition(index))?
             .reconfigure(frames)
+    }
+
+    fn envelope_buffer(&mut self) -> &mut Vec<u8> {
+        &mut self.0.envelope
     }
 
     fn read_partition(&self, index: usize) -> Result<Vec<u8>, FpgaError> {

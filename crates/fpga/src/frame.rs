@@ -70,28 +70,35 @@ impl ConfigMemory {
             })
     }
 
-    /// Replaces the **entire** partition contents with `frames`, the
-    /// partition's frames back to back. They must cover every frame —
-    /// partial writes are structurally impossible, which is Observation
-    /// 2 — in this family's frame length.
+    /// Replaces the **entire** partition contents with `frames`: the
+    /// partition's frames back to back, as the runs of bytes the stream
+    /// carried them in, copied into this memory in order. They must
+    /// cover every frame — partial writes are structurally impossible,
+    /// which is Observation 2 — in this family's frame length. A refused
+    /// write changes nothing.
     ///
     /// # Errors
     ///
     /// [`FpgaError::MalformedBitstream`] when `frames` is not a whole
     /// number of this family's frames; [`FpgaError::IncompleteReconfiguration`]
     /// when it holds another number of frames than the partition.
-    pub fn reconfigure(&mut self, frames: Vec<u8>) -> Result<(), FpgaError> {
+    pub fn reconfigure(&mut self, frames: &[&[u8]]) -> Result<(), FpgaError> {
         let frame_bytes = self.frame_bytes();
-        if !frames.len().is_multiple_of(frame_bytes) {
+        let len: usize = frames.iter().map(|run| run.len()).sum();
+        if !len.is_multiple_of(frame_bytes) {
             return Err(FpgaError::MalformedBitstream("frame payload length"));
         }
-        if frames.len() != self.bytes.len() {
+        if len != self.bytes.len() {
             return Err(FpgaError::IncompleteReconfiguration {
-                written: (frames.len() / frame_bytes) as u32,
+                written: (len / frame_bytes) as u32,
                 expected: self.frame_count(),
             });
         }
-        self.bytes = frames;
+        let mut at = 0;
+        for run in frames {
+            self.bytes[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        }
         self.configured = true;
         Ok(())
     }
@@ -166,13 +173,13 @@ mod tests {
         let mut frames = full_frames(&mem, 0xAB);
         frames.truncate(frames.len() - FB);
         assert!(matches!(
-            mem.reconfigure(frames),
+            mem.reconfigure(&[&frames]),
             Err(FpgaError::IncompleteReconfiguration { .. })
         ));
         assert!(!mem.is_configured());
 
         let frames = full_frames(&mem, 0xAB);
-        mem.reconfigure(frames).unwrap();
+        mem.reconfigure(&[&frames]).unwrap();
         assert!(mem.is_configured());
         assert_eq!(mem.frame(0).unwrap()[5], 0xAB);
     }
@@ -183,7 +190,7 @@ mod tests {
         let frames = vec![0; mem.frame_count() as usize * FamilyId::Versal.frame_bytes()];
         assert!(!frames.len().is_multiple_of(FB));
         assert!(matches!(
-            mem.reconfigure(frames),
+            mem.reconfigure(&[&frames]),
             Err(FpgaError::MalformedBitstream(_))
         ));
         assert!(!mem.is_configured());
@@ -192,8 +199,8 @@ mod tests {
     #[test]
     fn reconfigure_overwrites_all_previous_state() {
         let mut mem = tiny_mem();
-        mem.reconfigure(full_frames(&mem, 0x11)).unwrap();
-        mem.reconfigure(full_frames(&mem, 0x22)).unwrap();
+        mem.reconfigure(&[&full_frames(&mem, 0x11)]).unwrap();
+        mem.reconfigure(&[&full_frames(&mem, 0x22)]).unwrap();
         for i in 0..mem.frame_count() {
             assert!(mem.frame(i).unwrap().iter().all(|&b| b == 0x22));
         }
@@ -205,7 +212,7 @@ mod tests {
         let mut frames = full_frames(&mem, 0);
         frames[FB - 1] = 0xAA;
         frames[FB] = 0xBB;
-        mem.reconfigure(frames).unwrap();
+        mem.reconfigure(&[&frames]).unwrap();
         let got = mem.read_bytes(0, FB - 1, 2).unwrap();
         assert_eq!(got, vec![0xAA, 0xBB]);
     }
@@ -222,7 +229,7 @@ mod tests {
     #[test]
     fn erase_resets() {
         let mut mem = tiny_mem();
-        mem.reconfigure(full_frames(&mem, 0xFF)).unwrap();
+        mem.reconfigure(&[&full_frames(&mem, 0xFF)]).unwrap();
         mem.erase();
         assert!(!mem.is_configured());
         assert!(mem.flatten().iter().all(|&b| b == 0));

@@ -32,8 +32,13 @@ pub trait ConfigSink {
     /// The device's family identification code, checked against the
     /// IDCODE a compiled stream carries.
     fn family_code(&self) -> u32;
-    /// Commits a full set of frames, back to back, to partition `index`.
-    fn commit_partition(&mut self, index: usize, frames: Vec<u8>) -> Result<(), FpgaError>;
+    /// Commits a full set of frames, back to back in the given runs of
+    /// bytes, to partition `index`.
+    fn commit_partition(&mut self, index: usize, frames: &[&[u8]]) -> Result<(), FpgaError>;
+    /// The buffer envelopes are opened in, kept across loads so a load
+    /// reuses its memory. The engine leaves it all zeros after every
+    /// envelope, opened or not.
+    fn envelope_buffer(&mut self) -> &mut Vec<u8>;
     /// Flattens partition `index` for readback.
     fn read_partition(&self, index: usize) -> Result<Vec<u8>, FpgaError>;
 }
@@ -123,7 +128,10 @@ impl Icap {
         let mut far: u32 = 0;
         let mut wcfg = false;
         let mut crc = wire::Crc32::new();
-        let mut pending: Vec<u8> = Vec::new();
+        // FDRI payloads since the last CRC check, borrowed from the
+        // stream: they are copied once, into configuration memory, when
+        // the CRC verifies.
+        let mut fdri: Vec<&[u8]> = Vec::new();
 
         for packet in packets {
             match packet {
@@ -158,7 +166,7 @@ impl Icap {
                     if !wcfg {
                         return Err(FpgaError::MalformedBitstream("FDRI outside WCFG"));
                     }
-                    pending.extend_from_slice(payload.as_bytes());
+                    fdri.push(payload.as_bytes());
                     crc.update(payload.as_bytes());
                 }
                 Packet::Write {
@@ -178,13 +186,15 @@ impl Icap {
                     // IDCODE check below fails first and cleanly.
                     let partition = (far >> 24) as usize;
                     let frame_bytes = sink.frame_bytes();
-                    if !pending.len().is_multiple_of(frame_bytes) {
+                    let len: usize = fdri.iter().map(|run| run.len()).sum();
+                    if !len.is_multiple_of(frame_bytes) {
                         return Err(FpgaError::MalformedBitstream(
                             "frame data not frame aligned",
                         ));
                     }
-                    let count = (pending.len() / frame_bytes) as u32;
-                    sink.commit_partition(partition, std::mem::take(&mut pending))?;
+                    let count = (len / frame_bytes) as u32;
+                    sink.commit_partition(partition, &fdri)?;
+                    fdri.clear();
                     outcome.loads.push(LoadSummary {
                         partition,
                         frames_written: count,
@@ -196,10 +206,21 @@ impl Icap {
                     reg: Reg::Enc,
                     payload,
                 } => {
-                    let mut envelope = payload.as_bytes().to_vec();
                     let key = sink.device_key()?;
-                    let inner = wire::open_envelope(&key, sink.dna_raw(), &mut envelope)?;
-                    self.process_inner(sink, inner, true, outcome)?;
+                    let dna = sink.dna_raw();
+                    // The sink's buffer is taken for the envelope's
+                    // lifetime (an envelope nested inside it gets a
+                    // buffer of its own) and wiped before it goes back,
+                    // whatever the outcome: plaintext never outlives
+                    // the load.
+                    let mut envelope = std::mem::take(sink.envelope_buffer());
+                    envelope.clear();
+                    envelope.extend_from_slice(payload.as_bytes());
+                    let loaded = wire::open_envelope(&key, dna, &mut envelope)
+                        .and_then(|inner| self.process_inner(sink, inner, true, outcome));
+                    envelope.fill(0);
+                    *sink.envelope_buffer() = envelope;
+                    loaded?;
                 }
                 Packet::Write {
                     reg: Reg::Idcode,
@@ -258,6 +279,7 @@ mod tests {
         dna: u64,
         committed: Vec<(usize, Vec<u8>)>,
         frames_in_partition: usize,
+        envelope: Vec<u8>,
     }
 
     impl TestSink {
@@ -267,6 +289,7 @@ mod tests {
                 dna: 0x1234,
                 committed: Vec::new(),
                 frames_in_partition: 2,
+                envelope: Vec::new(),
             }
         }
     }
@@ -284,7 +307,8 @@ mod tests {
         fn family_code(&self) -> u32 {
             FamilyId::UltraScale.code()
         }
-        fn commit_partition(&mut self, index: usize, frames: Vec<u8>) -> Result<(), FpgaError> {
+        fn commit_partition(&mut self, index: usize, frames: &[&[u8]]) -> Result<(), FpgaError> {
+            let frames = frames.concat();
             if frames.len() != self.frames_in_partition * FRAME_BYTES {
                 return Err(FpgaError::IncompleteReconfiguration {
                     written: (frames.len() / FRAME_BYTES) as u32,
@@ -293,6 +317,9 @@ mod tests {
             }
             self.committed.push((index, frames));
             Ok(())
+        }
+        fn envelope_buffer(&mut self) -> &mut Vec<u8> {
+            &mut self.envelope
         }
         fn read_partition(&self, _index: usize) -> Result<Vec<u8>, FpgaError> {
             Ok(vec![0xCC; self.frames_in_partition * FRAME_BYTES])
@@ -393,6 +420,62 @@ mod tests {
             Icap::salus().process(&mut sink, &stream).unwrap_err(),
             FpgaError::NoDeviceKey
         );
+    }
+
+    #[test]
+    fn fdri_runs_before_one_crc_commit_as_one_set_of_frames() {
+        let mut sink = TestSink::new();
+        let (first, second) = (vec![0x11; FRAME_BYTES], vec![0x22; FRAME_BYTES]);
+        let mut w = WireWriter::new();
+        w.write_cmd(Cmd::Rcrc)
+            .write_reg(Reg::Far, &[0])
+            .write_cmd(Cmd::Wcfg)
+            .write_long_bytes(Reg::Fdri, &first)
+            .write_long_bytes(Reg::Fdri, &second);
+        let crc = wire::crc32(&[&0u32.to_be_bytes()[..], &first, &second].concat());
+        w.write_reg(Reg::Crc, &[crc]);
+        Icap::salus().process(&mut sink, &w.finish()).unwrap();
+        assert_eq!(sink.committed, [(0, [first, second].concat())]);
+    }
+
+    #[test]
+    fn the_device_envelope_buffer_is_kept_and_wiped_after_every_load() {
+        use crate::device::Device;
+        use crate::geometry::DeviceGeometry;
+
+        let key = [0x42u8; 32];
+        let mut device = Device::manufacture(DeviceGeometry::tiny(), 9);
+        device.program_device_key(key).unwrap();
+        let frames = device.partition(0).unwrap().frame_count() as usize;
+        let inner = plain_stream(0, &vec![0x5A; frames * FRAME_BYTES]);
+        let dna = device.dna().read();
+        let stream = wire::build_encrypted_stream(&key, &[1; 12], dna, &inner);
+        let wiped = |device: &Device| {
+            let buffer = device.envelope_buffer();
+            !buffer.is_empty() && buffer.iter().all(|&b| b == 0)
+        };
+
+        device.icap_load(&stream).unwrap();
+        assert!(device.partition(0).unwrap().is_configured());
+        assert!(wiped(&device), "wiped after a good load");
+        let kept = device.envelope_buffer().as_ptr();
+
+        // A tag failure (one ciphertext bit flipped): the envelope was
+        // copied into the buffer, the open refused it, and the buffer
+        // is still wiped — and still the same allocation.
+        let mut forged = stream.clone();
+        let at = forged.len() / 2;
+        forged[at] ^= 1;
+        assert_eq!(
+            device.icap_load(&forged).unwrap_err(),
+            FpgaError::DecryptionFailed
+        );
+        assert!(wiped(&device), "wiped after a tag failure");
+        assert_eq!(device.envelope_buffer().as_ptr(), kept);
+
+        device.icap_load(&stream).unwrap();
+        assert!(wiped(&device));
+        assert_eq!(device.envelope_buffer().as_ptr(), kept, "no new buffer");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! that the security experiments flip — while the device's internal
 //! decryption and readback gating bound what the attacks can achieve.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -28,7 +27,7 @@ pub enum LoadAttack {
     /// Flip one byte at `offset` before loading (integrity attack).
     CorruptByte(usize),
     /// Load attacker-supplied bytes instead (CL replacement attack).
-    Replace(Vec<u8>),
+    Replace(Arc<Vec<u8>>),
 }
 
 /// Bitstreams the shell's observation log keeps, most recent last: the
@@ -47,7 +46,7 @@ pub struct Shell {
 #[derive(Debug, Default)]
 struct ShellState {
     next_load_attack: LoadAttack,
-    observed_bitstreams: VecDeque<Vec<u8>>,
+    observed_bitstreams: VecDeque<Arc<Vec<u8>>>,
 }
 
 impl std::fmt::Debug for Shell {
@@ -125,25 +124,26 @@ impl Shell {
 
     /// Deploys a CL bitstream received from the host: the shell observes
     /// the bytes (it always can), applies any armed attack, and pushes
-    /// the result through the ICAP. The observation log keeps the one
-    /// owned copy: a `Vec` passed by value moves into it, a borrowed
-    /// stream is copied once. It holds the last
-    /// [`OBSERVED_BITSTREAMS_KEPT`] streams; older ones drop out.
+    /// the result through the ICAP. The stream is shared, never copied:
+    /// the observation log keeps a reference to the very buffer the host
+    /// sent, and an attack that alters bytes alters a copy of its own.
+    /// The log holds the last [`OBSERVED_BITSTREAMS_KEPT`] streams; older
+    /// ones drop out.
     ///
     /// # Errors
     ///
     /// Propagates every ICAP failure (CRC, decryption, incomplete
     /// reconfiguration, ...).
-    pub fn deploy_bitstream<'a>(
+    pub fn deploy_bitstream(
         &self,
-        bitstream: impl Into<Cow<'a, [u8]>>,
+        bitstream: impl Into<Arc<Vec<u8>>>,
     ) -> Result<LoadOutcome, FpgaError> {
-        let observed = bitstream.into().into_owned();
+        let observed = bitstream.into();
         let attack = std::mem::take(&mut self.state.lock().next_load_attack);
         let outcome = match attack {
             LoadAttack::Honest => self.device.lock().icap_load(&observed),
             LoadAttack::CorruptByte(offset) => {
-                let mut corrupt = observed.clone();
+                let mut corrupt = observed.to_vec();
                 if let Some(last) = corrupt.len().checked_sub(1) {
                     corrupt[offset.min(last)] ^= 0x01;
                 }
@@ -247,8 +247,9 @@ impl Shell {
     }
 
     /// The bitstreams the shell has seen cross it, verbatim, oldest
-    /// first: the last [`OBSERVED_BITSTREAMS_KEPT`] loads.
-    pub fn observed_bitstreams(&self) -> Vec<Vec<u8>> {
+    /// first: the last [`OBSERVED_BITSTREAMS_KEPT`] loads, each the
+    /// buffer the host sent.
+    pub fn observed_bitstreams(&self) -> Vec<Arc<Vec<u8>>> {
         self.state
             .lock()
             .observed_bitstreams
@@ -303,7 +304,7 @@ mod tests {
     fn honest_shell_deploys() {
         let shell = shell_with_tiny_device();
         let stream = plain_stream(&shell, 0x31);
-        shell.deploy_bitstream(&stream).unwrap();
+        shell.deploy_bitstream(stream.clone()).unwrap();
         assert!(shell.device().lock().partition(0).unwrap().is_configured());
     }
 
@@ -311,7 +312,7 @@ mod tests {
     fn shell_observes_everything() {
         let shell = shell_with_tiny_device();
         let stream = plain_stream(&shell, 0x31);
-        shell.deploy_bitstream(&stream).unwrap();
+        shell.deploy_bitstream(stream.clone()).unwrap();
         assert_eq!(shell.observed_bitstreams().len(), 1);
         assert!(shell.observed_bytes_contain(&[0x31, 0x31, 0x31, 0x31]));
     }
@@ -323,10 +324,15 @@ mod tests {
             .map(|fill| plain_stream(&shell, fill))
             .collect();
         for stream in &streams {
-            shell.deploy_bitstream(stream).unwrap();
+            shell.deploy_bitstream(stream.clone()).unwrap();
         }
+        let observed: Vec<Vec<u8>> = shell
+            .observed_bitstreams()
+            .iter()
+            .map(|stream| stream.to_vec())
+            .collect();
         assert_eq!(
-            shell.observed_bitstreams(),
+            observed,
             streams[3..],
             "the oldest three dropped out, the rest in load order"
         );
@@ -339,9 +345,25 @@ mod tests {
         // Offset well into the FDRI payload.
         shell.set_load_attack(LoadAttack::CorruptByte(stream.len() / 2));
         assert_eq!(
-            shell.deploy_bitstream(&stream).unwrap_err(),
+            shell.deploy_bitstream(stream.clone()).unwrap_err(),
             FpgaError::CrcMismatch
         );
+    }
+
+    #[test]
+    fn corruption_attack_alters_a_copy_not_the_shared_stream() {
+        // The host's buffer is shared with the shell's log; the attack
+        // flips a byte of its own copy, so the sender still holds (and
+        // the log still shows) the honest stream.
+        let shell = shell_with_tiny_device();
+        let stream = Arc::new(plain_stream(&shell, 0x31));
+        let honest = stream.to_vec();
+        shell.set_load_attack(LoadAttack::CorruptByte(stream.len() / 2));
+        assert!(shell.deploy_bitstream(Arc::clone(&stream)).is_err());
+        assert_eq!(*stream, honest);
+        let logged = shell.observed_bitstreams().pop().expect("logged");
+        assert!(Arc::ptr_eq(&logged, &stream));
+        shell.deploy_bitstream(stream).unwrap();
     }
 
     #[test]
@@ -349,9 +371,9 @@ mod tests {
         let shell = shell_with_tiny_device();
         let stream = plain_stream(&shell, 0x31);
         shell.set_load_attack(LoadAttack::CorruptByte(stream.len() / 2));
-        let _ = shell.deploy_bitstream(&stream);
+        let _ = shell.deploy_bitstream(stream.clone());
         // Next deployment goes through honestly.
-        shell.deploy_bitstream(&stream).unwrap();
+        shell.deploy_bitstream(stream.clone()).unwrap();
     }
 
     #[test]
@@ -361,8 +383,8 @@ mod tests {
         let shell = shell_with_tiny_device();
         let honest = plain_stream(&shell, 0x31);
         let evil = plain_stream(&shell, 0x66);
-        shell.set_load_attack(LoadAttack::Replace(evil));
-        shell.deploy_bitstream(&honest).unwrap();
+        shell.set_load_attack(LoadAttack::Replace(evil.into()));
+        shell.deploy_bitstream(honest).unwrap();
         let device = shell.device();
         let guard = device.lock();
         assert_eq!(guard.partition(0).unwrap().frame(0).unwrap()[0], 0x66);
@@ -403,7 +425,7 @@ mod tests {
     fn snoop_fails_on_salus_icap() {
         let shell = shell_with_tiny_device();
         let stream = plain_stream(&shell, 0x31);
-        shell.deploy_bitstream(&stream).unwrap();
+        shell.deploy_bitstream(stream.clone()).unwrap();
         assert_eq!(
             shell.snoop_configuration(0).unwrap_err(),
             FpgaError::ReadbackDisabled

@@ -341,24 +341,6 @@ pub const ENC_NONCE_BYTES: usize = 12;
 /// Envelope bytes around the sealed stream: nonce, length header, tag.
 const ENVELOPE_OVERHEAD: usize = ENC_NONCE_BYTES + 8 + TAG_SIZE;
 
-/// Appends the envelope for `inner_plain` to `out`, encrypting the
-/// plaintext where it lands. The AAD binds the target device's DNA, so
-/// an envelope cannot be re-targeted.
-fn append_envelope(
-    out: &mut Vec<u8>,
-    cipher: &AesGcm256,
-    nonce: &[u8; ENC_NONCE_BYTES],
-    device_dna: u64,
-    inner_plain: &[u8],
-) {
-    out.extend_from_slice(nonce);
-    out.extend_from_slice(&(inner_plain.len() as u64).to_be_bytes());
-    let start = out.len();
-    out.extend_from_slice(inner_plain);
-    let tag = cipher.seal_in_place_detached(nonce, &device_dna.to_le_bytes(), &mut out[start..]);
-    out.extend_from_slice(&tag);
-}
-
 /// Opens the ENC payload of a [`build_encrypted_stream`] in place and returns
 /// the inner stream, a slice of `envelope`. Internal-use by the
 /// configuration engine. The tag is checked before anything is
@@ -400,29 +382,52 @@ pub fn build_encrypted_stream(
     device_dna: u64,
     inner_plain: &[u8],
 ) -> Vec<u8> {
-    build_encrypted_stream_with(&AesGcm256::new(key), nonce, device_dna, inner_plain)
+    let Ok(stream) = build_encrypted_stream_patched(
+        &AesGcm256::new(key),
+        nonce,
+        device_dna,
+        inner_plain,
+        |_| Ok::<(), std::convert::Infallible>(()),
+    );
+    stream
 }
 
-/// Like [`build_encrypted_stream`] but reusing an already-initialised
-/// GCM context. Key setup (AES schedule + GHASH tables) is constant
-/// work per envelope; callers sealing many partitions under one
-/// `Key_device` should construct the context once. The envelope is
-/// sealed in place inside the stream: the plaintext is copied once,
-/// into the ENC payload, and encrypted there.
-pub fn build_encrypted_stream_with(
+/// Builds an encrypted wire stream around a patched copy of
+/// `inner_plain`: the plaintext is copied once, straight into the ENC
+/// payload, `patch` edits that copy in place, and the envelope is sealed
+/// where it lies, so the returned stream is the only buffer the
+/// plaintext ever occupies outside `inner_plain`. The AAD binds the
+/// target device's DNA, so an envelope cannot be re-targeted.
+///
+/// # Errors
+///
+/// Whatever `patch` returns; the stream is then dropped unsealed.
+pub fn build_encrypted_stream_patched<E>(
     cipher: &AesGcm256,
     nonce: &[u8; ENC_NONCE_BYTES],
     device_dna: u64,
     inner_plain: &[u8],
-) -> Vec<u8> {
+    patch: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<Vec<u8>, E> {
     // A whole-word inner stream makes a whole-word envelope, so the
     // type-2 payload needs no padding and the engine can check the
     // length header against the sealed size.
+    let mut patched = Ok(());
     let mut writer = WireWriter::new();
     writer.write_long_with(Reg::Enc, ENVELOPE_OVERHEAD + inner_plain.len(), |out| {
-        append_envelope(out, cipher, nonce, device_dna, inner_plain);
+        out.extend_from_slice(nonce);
+        out.extend_from_slice(&(inner_plain.len() as u64).to_be_bytes());
+        let start = out.len();
+        out.extend_from_slice(inner_plain);
+        let inner = &mut out[start..];
+        patched = patch(inner);
+        let tag = match patched {
+            Ok(()) => cipher.seal_in_place_detached(nonce, &device_dna.to_le_bytes(), inner),
+            Err(_) => [0; TAG_SIZE],
+        };
+        out.extend_from_slice(&tag);
     });
-    writer.finish()
+    patched.map(|()| writer.finish())
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! [`Adversary`] may observe or rewrite it and the shared [`SimClock`] is
 //! charged the link cost.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -159,6 +160,41 @@ impl Channel {
         payload: &[u8],
         deadline: Option<Duration>,
     ) -> Result<Delivery, NetError> {
+        let (bytes, duplicated) = self.carry(payload, deadline)?;
+        Ok(Delivery {
+            bytes: bytes.into_owned(),
+            duplicated,
+        })
+    }
+
+    /// [`transmit_ext`](Channel::transmit_ext) for a shared, immutable
+    /// buffer: when the receiver observes exactly the sender's bytes, it
+    /// gets the sender's buffer itself, not a copy. Tampered, held-back
+    /// and duplicated messages arrive as buffers of their own.
+    ///
+    /// # Errors
+    ///
+    /// As [`transmit_ext`](Channel::transmit_ext).
+    pub fn transmit_shared(
+        &self,
+        payload: &Arc<Vec<u8>>,
+        deadline: Option<Duration>,
+    ) -> Result<Arc<Vec<u8>>, NetError> {
+        Ok(match self.carry(payload, deadline)?.0 {
+            Cow::Borrowed(_) => Arc::clone(payload),
+            Cow::Owned(bytes) => Arc::new(bytes),
+        })
+    }
+
+    /// The one transmit path behind every entry point: charges the link,
+    /// lets the adversary and the fault plane act, and returns what the
+    /// receiver observes — `payload` itself, borrowed, unless the message
+    /// was replaced or duplicated — and whether it arrived twice.
+    fn carry<'p>(
+        &self,
+        payload: &'p [u8],
+        deadline: Option<Duration>,
+    ) -> Result<(Cow<'p, [u8]>, bool), NetError> {
         let cost = self.model.transfer_cost(self.class, payload.len());
         self.clock.advance(cost);
 
@@ -179,8 +215,8 @@ impl Channel {
             .lock()
             .on_message(&self.src, &self.dst, payload);
         let bytes = match verdict {
-            Verdict::Pass => payload.to_vec(),
-            Verdict::Tamper(replacement) => replacement,
+            Verdict::Pass => Cow::Borrowed(payload),
+            Verdict::Tamper(replacement) => Cow::Owned(replacement),
             Verdict::Drop => return Err(lost(cost)),
         };
 
@@ -192,36 +228,30 @@ impl Channel {
 
         let plane = self.fault_plane.lock().clone();
         let Some(plane) = plane else {
-            return Ok(Delivery {
-                bytes,
-                duplicated: false,
-            });
+            return Ok((bytes, false));
         };
 
         match plane.decide(&self.src, &self.dst, self.clock.now_ns()) {
             FaultAction::HoldForReorder => {
                 // Held back: lost for now, delivered stale in place of
                 // the channel's next message.
-                plane.hold(&self.src, &self.dst, bytes);
+                plane.hold(&self.src, &self.dst, bytes.into_owned());
                 Err(lost(cost))
             }
             decision => {
                 // A previously held message arrives *instead* of this
                 // one; the current payload is permanently lost.
-                let bytes = plane.take_held(&self.src, &self.dst).unwrap_or(bytes);
+                let bytes = match plane.take_held(&self.src, &self.dst) {
+                    Some(held) => Cow::Owned(held),
+                    None => bytes,
+                };
                 match decision {
-                    FaultAction::Deliver => Ok(Delivery {
-                        bytes,
-                        duplicated: false,
-                    }),
+                    FaultAction::Deliver => Ok((bytes, false)),
                     FaultAction::Drop => Err(lost(cost)),
                     FaultAction::Duplicate => {
                         // The wire carries the message twice.
                         self.clock.advance(cost);
-                        Ok(Delivery {
-                            bytes,
-                            duplicated: true,
-                        })
+                        Ok((Cow::Owned(bytes.into_owned()), true))
                     }
                     FaultAction::Delay(extra) => {
                         if let Some(d) = deadline {
@@ -230,10 +260,7 @@ impl Channel {
                             }
                         }
                         self.clock.advance(extra);
-                        Ok(Delivery {
-                            bytes,
-                            duplicated: false,
-                        })
+                        Ok((bytes, false))
                     }
                     FaultAction::HoldForReorder => unreachable!("matched above"),
                 }
@@ -316,6 +343,32 @@ mod tests {
         chan.interpose(BitFlipper::new(0, 0));
         let got = chan.transmit(b"abc").unwrap();
         assert_eq!(got[0], b'a' ^ 1);
+    }
+
+    #[test]
+    fn shared_transmit_delivers_the_senders_buffer_unless_altered() {
+        use crate::fault::{FaultPlane, FaultSpec};
+        let chan = test_channel();
+        let sent = Arc::new(b"sealed stream".to_vec());
+        let got = chan.transmit_shared(&sent, None).unwrap();
+        assert!(Arc::ptr_eq(&got, &sent), "honest link: the same buffer");
+
+        // A tamper verdict rewrites a copy; the sender's bytes stand.
+        chan.interpose(BitFlipper::new(0, 0));
+        let got = chan.transmit_shared(&sent, None).unwrap();
+        assert!(!Arc::ptr_eq(&got, &sent));
+        assert_eq!(got[0], b's' ^ 1);
+        assert_eq!(*sent, b"sealed stream");
+        chan.clear_adversary();
+
+        // A duplicate arrives as a buffer of its own.
+        chan.set_fault_plane(FaultPlane::new(
+            1,
+            FaultSpec::default().with_duplicate_per_mille(1000),
+        ));
+        let got = chan.transmit_shared(&sent, None).unwrap();
+        assert!(!Arc::ptr_eq(&got, &sent));
+        assert_eq!(got, sent);
     }
 
     #[test]

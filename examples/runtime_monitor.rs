@@ -34,7 +34,7 @@ fn main() {
     bed.shell
         .set_load_attack(LoadAttack::Replace(stale_stream.clone()));
     bed.shell
-        .deploy_bitstream(&stale_stream)
+        .deploy_bitstream(stale_stream)
         .expect("the stale stream itself decrypts fine");
 
     let beat = heartbeat(&mut bed).expect("booted");

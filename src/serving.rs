@@ -734,8 +734,9 @@ impl ServingPlane {
     }
 
     /// Executes every queued request and advances the virtual clock by
-    /// the schedule's makespan. Responses become collectable through
-    /// [`take`](ServingPlane::take).
+    /// the schedule's makespan, measured from the drain's start, so the
+    /// clock lands where the last request completed. Responses become
+    /// collectable through [`take`](ServingPlane::take).
     ///
     /// The executor runs two passes: a *functional* pass that really
     /// moves the bytes (coalesced DMA fills, per-request register
@@ -765,6 +766,7 @@ impl ServingPlane {
     /// errors; they surface through [`take`](ServingPlane::take) as
     /// [`ServeError::Rejected`].
     pub fn drain(&mut self) -> Result<ServingReport, ServeError> {
+        let start = self.clock.as_ref().map_or(Duration::ZERO, SimClock::now);
         let max_batch = match self.config.mode {
             ExecutionMode::Serial => 1,
             ExecutionMode::Pipelined { max_batch } => max_batch,
@@ -788,10 +790,14 @@ impl ServingPlane {
             return Err(ServeError::Rejected(e));
         }
 
-        let report = match self.config.mode {
+        // The schedule runs on the clock's own time line (arrivals are
+        // instants on it); its makespan is reported from the drain's
+        // start.
+        let mut report = match self.config.mode {
             ExecutionMode::Serial => schedule_serial(&executed, &self.config.cost),
             ExecutionMode::Pipelined { .. } => schedule_pipelined(&executed, &self.config.cost),
         };
+        report.makespan = report.makespan.saturating_sub(start);
         if let Some(clock) = &self.clock {
             clock.advance(report.makespan);
         }
@@ -1436,6 +1442,34 @@ mod tests {
         assert_eq!(report.batch_sizes, vec![6]);
         for (handle, payload) in handles.into_iter().zip(&payloads) {
             assert_eq!(plane.take(handle).unwrap(), workload.compute(payload));
+        }
+    }
+
+    #[test]
+    fn every_drain_advances_the_clock_by_its_own_makespan() {
+        // Arrivals are instants on the shared clock, and a drain's
+        // makespan counts from its start: a hundred drains move the
+        // clock by exactly their own lengths, and it never compounds,
+        // wraps or runs backwards.
+        let node = SalusNode::quick(1, 1).unwrap();
+        let tenant = node.register_tenant("alice");
+        let workload = Conv::paper_scale();
+        let session = node.deploy(tenant, &workload).unwrap();
+        let clock = session.clock();
+        let mut plane = ServingPlane::new(quick_plane(ExecutionMode::Pipelined { max_batch: 4 }));
+        let lane = plane.attach(session, &workload);
+        for round in 0..100 {
+            let before = clock.now();
+            let handle = plane
+                .submit(lane, ClientId(round), workload.input().to_vec())
+                .unwrap();
+            let report = plane.drain().unwrap();
+            let after = clock.now();
+            assert!(after > before, "round {round}: the clock moved forward");
+            assert_eq!(after - before, report.makespan, "round {round}");
+            // The one request arrived as the drain began.
+            assert_eq!(report.latencies, [report.makespan], "round {round}");
+            plane.take(handle).unwrap();
         }
     }
 

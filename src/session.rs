@@ -280,7 +280,7 @@ mod tests {
 
         let shell = session.bed_mut().shell.clone();
         shell.set_load_attack(LoadAttack::Replace(stale.clone()));
-        shell.deploy_bitstream(&stale).unwrap();
+        shell.deploy_bitstream(stale).unwrap();
         assert!(!session.is_alive().unwrap());
     }
 }

@@ -45,7 +45,7 @@ struct Fleet {
     workloads: Vec<Box<dyn Workload>>,
     /// Per lane: the device's shell handle and a stale (pre-rotation)
     /// encrypted bitstream it once observed.
-    tampers: Vec<(Shell, Vec<u8>)>,
+    tampers: Vec<(Shell, std::sync::Arc<Vec<u8>>)>,
 }
 
 fn build_fleet(seed: u64, quarantine_after: u32) -> Fleet {
@@ -107,7 +107,7 @@ impl Fleet {
     fn tamper(&self, lane: usize) {
         let (shell, stale) = &self.tampers[lane];
         shell.set_load_attack(LoadAttack::Replace(stale.clone()));
-        shell.deploy_bitstream(stale).expect("replay loads");
+        shell.deploy_bitstream(stale.clone()).expect("replay loads");
         shell.set_load_attack(LoadAttack::Honest);
     }
 

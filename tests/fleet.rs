@@ -41,8 +41,8 @@ fn encrypted_bitstreams_are_device_bound_across_a_fleet() {
 
     // Cross-loading fails on both boards: streams are bound to the
     // fused key *and* the DNA of the device they were prepared for.
-    assert!(b.bed.shell.deploy_bitstream(&stream_a).is_err());
-    assert!(a.bed.shell.deploy_bitstream(&stream_b).is_err());
+    assert!(b.bed.shell.deploy_bitstream(stream_a).is_err());
+    assert!(a.bed.shell.deploy_bitstream(stream_b).is_err());
 
     // A stream encrypted under a guessed key fails on its own target
     // board too.
@@ -58,7 +58,7 @@ fn encrypted_bitstreams_are_device_bound_across_a_fleet() {
         &[1; 12],
         a.bed.shell.advertised_dna(),
     );
-    assert!(a.bed.shell.deploy_bitstream(&guessed).is_err());
+    assert!(a.bed.shell.deploy_bitstream(guessed).is_err());
 }
 
 #[test]

@@ -94,8 +94,8 @@ fn per_device_keys_stay_isolated_and_cross_tenant_loads_are_rejected() {
     assert_ne!(dnas[0], dnas[1]);
     let stream_a = a.bed_mut().shell.observed_bitstreams()[0].clone();
     let stream_b = b.bed_mut().shell.observed_bitstreams()[0].clone();
-    assert!(b.bed_mut().shell.deploy_bitstream(&stream_a).is_err());
-    assert!(a.bed_mut().shell.deploy_bitstream(&stream_b).is_err());
+    assert!(b.bed_mut().shell.deploy_bitstream(stream_a).is_err());
+    assert!(a.bed_mut().shell.deploy_bitstream(stream_b).is_err());
 }
 
 #[test]

@@ -154,7 +154,7 @@ fn standard_icap_would_leak_the_rot_to_the_shell() {
 
     let device = Device::manufacture(geometry, 1).with_standard_icap();
     let shell = Shell::new(device);
-    shell.deploy_bitstream(&manipulated).unwrap();
+    shell.deploy_bitstream(manipulated).unwrap();
 
     // The shell scans configuration memory and finds the key.
     let scanned = shell.snoop_configuration(0).unwrap();
