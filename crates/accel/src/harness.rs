@@ -195,10 +195,10 @@ impl AcceleratorCtl {
         }
         // The AES engine at the memory interface decrypts inbound data.
         let run = plan.run_plan();
-        run.ctr(&run.iv_in).apply_keystream_parallel(&mut data);
+        run.ctr(&run.iv_in).apply_keystream(&mut data);
         let mut output = (self.compute)(&data);
         if self.encrypt_output {
-            run.ctr(&run.iv_out).apply_keystream_parallel(&mut output);
+            run.ctr(&run.iv_out).apply_keystream(&mut output);
         }
         let Ok(abs_output) = self
             .window
@@ -411,13 +411,13 @@ impl RunPlan {
     /// [`encrypt_input`](RunPlan::encrypt_input) over a payload already
     /// copied into its staging buffer.
     pub fn encrypt_input_in_place(&self, payload: &mut [u8]) {
-        self.ctr(&self.iv_in).apply_keystream_parallel(payload);
+        self.ctr(&self.iv_in).apply_keystream(payload);
     }
 
     /// Owner-side decryption of one request's output buffer (only
     /// meaningful when the workload encrypts its output).
     pub fn decrypt_output(&self, output: &mut [u8]) {
-        self.ctr(&self.iv_out).apply_keystream_parallel(output);
+        self.ctr(&self.iv_out).apply_keystream(output);
     }
 }
 

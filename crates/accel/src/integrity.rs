@@ -20,7 +20,7 @@
 use salus_core::instance::TestBed;
 use salus_core::SalusError;
 use salus_crypto::hmac::hkdf;
-use salus_crypto::merkle::MerkleTree;
+use salus_crypto::merkle;
 use salus_fpga::geometry::DramWindow;
 
 use crate::harness::{execute, stage_program_key, ExecRequest, RunPlan};
@@ -45,7 +45,7 @@ pub fn integrity_key(data_key: &[u8; 32]) -> [u8; 32] {
 /// always matches a root computed by a session holding the same data
 /// key.
 pub fn buffer_root(data_key: &[u8; 32], buffer: &[u8]) -> [u8; 32] {
-    MerkleTree::build(&integrity_key(data_key), buffer, CHUNK_SIZE).root()
+    merkle::root(&integrity_key(data_key), buffer, CHUNK_SIZE)
 }
 
 /// Per-session state for staged transactions on the integrity-
@@ -94,10 +94,10 @@ impl IntegrityPlan {
         &self.run
     }
 
-    /// The Merkle root of `buffer` under the session's key, built on
-    /// parallel subtrees (bit-identical to [`buffer_root`]).
+    /// The Merkle root of `buffer` under the session's key (the root
+    /// [`buffer_root`] gives for the session's data key).
     pub(crate) fn root(&self, buffer: &[u8]) -> [u8; 32] {
-        MerkleTree::build_parallel(&self.merkle_key, buffer, CHUNK_SIZE).root()
+        merkle::root(&self.merkle_key, buffer, CHUNK_SIZE)
     }
 
     /// The session window every stage offset is relative to.
@@ -262,11 +262,11 @@ mod tests {
             salus_crypto::sha256::to_hex(&integrity_key(&data_key)),
             "33a1825f50485b3d485618d746047fe519e60e1509c9d9a249919f7a1ad77e98"
         );
-        // And buffer_root equals the parallel build sessions use.
+        // And buffer_root roots under the derived key.
         let buffer = vec![7u8; 1000];
         assert_eq!(
             buffer_root(&data_key, &buffer),
-            MerkleTree::build_parallel(&integrity_key(&data_key), &buffer, CHUNK_SIZE).root()
+            merkle::root(&integrity_key(&data_key), &buffer, CHUNK_SIZE)
         );
     }
 

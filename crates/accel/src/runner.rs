@@ -75,19 +75,18 @@ pub fn run(workload: &dyn Workload, mode: ExecMode) -> RunResult {
 
             // Owner side: encrypt the input traffic.
             let mut wire_in = workload.input().to_vec();
-            AesCtr256::from_cipher(cipher.clone(), &iv_in).apply_keystream_parallel(&mut wire_in);
+            AesCtr256::from_cipher(cipher.clone(), &iv_in).apply_keystream(&mut wire_in);
             debug_assert_ne!(wire_in, workload.input(), "ciphertext differs");
 
             // Trusted side (enclave / CL): decrypt, compute.
-            AesCtr256::from_cipher(cipher.clone(), &iv_in).apply_keystream_parallel(&mut wire_in);
+            AesCtr256::from_cipher(cipher.clone(), &iv_in).apply_keystream(&mut wire_in);
             let mut output = workload.compute(&wire_in);
 
             if workload.encrypt_output() {
                 // Trusted side encrypts the outbound traffic…
-                AesCtr256::from_cipher(cipher.clone(), &iv_out)
-                    .apply_keystream_parallel(&mut output);
+                AesCtr256::from_cipher(cipher.clone(), &iv_out).apply_keystream(&mut output);
                 // …and the owner decrypts it.
-                AesCtr256::from_cipher(cipher, &iv_out).apply_keystream_parallel(&mut output);
+                AesCtr256::from_cipher(cipher, &iv_out).apply_keystream(&mut output);
             }
             output
         }

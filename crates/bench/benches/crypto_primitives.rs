@@ -71,8 +71,8 @@ fn bench_bulk(c: &mut Criterion) {
 
 /// Bulk data-plane throughput at the sizes the paper's workflows move:
 /// ~1 MiB register/DRAM buffers and ~16 MiB (bitstream-scale) streams.
-/// CTR serial vs parallel, GCM seal/open, and the end-to-end
-/// `encrypt_for_device` path the SM enclave runs per deployment.
+/// CTR, GCM seal/open, and the end-to-end `encrypt_for_device` path the
+/// SM enclave runs per deployment.
 fn bench_bulk_throughput(c: &mut Criterion) {
     const MIB: usize = 1 << 20;
     for &size in &[MIB, 16 * MIB] {
@@ -89,13 +89,6 @@ fn bench_bulk_throughput(c: &mut Criterion) {
             b.iter(|| {
                 let mut buf = data.clone();
                 AesCtr256::from_cipher(cipher.clone(), &iv).apply_keystream(&mut buf);
-                buf
-            });
-        });
-        group.bench_function(BenchmarkId::new("aes256_ctr_parallel", label), |b| {
-            b.iter(|| {
-                let mut buf = data.clone();
-                AesCtr256::from_cipher(cipher.clone(), &iv).apply_keystream_parallel(&mut buf);
                 buf
             });
         });
@@ -119,21 +112,12 @@ fn bench_bulk_throughput(c: &mut Criterion) {
 }
 
 fn bench_merkle(c: &mut Criterion) {
-    use salus_crypto::merkle::MerkleTree;
     const SIZE: usize = 64 * 1024;
     let data = vec![0xA5u8; SIZE];
     let mut group = c.benchmark_group("merkle_64KiB_256B_chunks");
     group.throughput(Throughput::Bytes(SIZE as u64));
-    group.bench_function("build", |b| {
-        b.iter(|| MerkleTree::build(&[7; 32], black_box(&data), 256));
-    });
-    let mut tree = MerkleTree::build(&[7; 32], &data, 256);
-    group.bench_function("update_chunk", |b| {
-        b.iter(|| tree.update_chunk(black_box(5), &[9u8; 256]));
-    });
-    let root = tree.root();
-    group.bench_function("verify_chunk", |b| {
-        b.iter(|| tree.verify_chunk(black_box(&root), 5, &[9u8; 256]));
+    group.bench_function("root", |b| {
+        b.iter(|| salus_crypto::merkle::root(&[7; 32], black_box(&data), 256));
     });
     group.finish();
 }

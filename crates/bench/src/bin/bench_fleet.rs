@@ -15,13 +15,15 @@
 //! A second section exercises a heterogeneous fleet (series7 +
 //! UltraScale + Versal boards side by side): per-family occupancy
 //! after a capability-aware placement run, and the host-side latency
-//! of the placement decision itself over a half-loaded mixed fleet.
+//! of the placement decision itself over a half-loaded mixed fleet (the
+//! median and quartiles of five timed runs).
 //!
 //! Results go to stdout and `BENCH_fleet.json` so future PRs can
 //! compare against this PR's numbers.
 
 use std::time::Instant;
 
+use salus_bench::Spread;
 use salus_core::boot::BootOutcome;
 use salus_core::dev::{loopback_accelerator, sm_enclave_image};
 use salus_core::manufacturer::Manufacturer;
@@ -198,19 +200,26 @@ fn hetero_section() -> (Vec<serde_json::Value>, Vec<serde_json::Value>) {
     ];
     const ITERS: u32 = 10_000;
     for (label, request) in &requests {
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            let slot = scheduler
-                .place_constrained(&fleet, request, None, &[])
-                .expect("bench placement");
-            std::hint::black_box(slot);
-        }
-        let nanos = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
-        println!("place({label:<10}) {nanos:>8.0} ns/decision");
-        decisions.push(serde_json::json!({
-            "request": label.to_owned(),
-            "nanos_per_decision": nanos,
-        }));
+        let nanos = Spread::of_runs(|| {
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                let slot = scheduler
+                    .place_constrained(&fleet, request, None, &[])
+                    .expect("bench placement");
+                std::hint::black_box(slot);
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(ITERS)
+        });
+        println!(
+            "place({label:<10}) {:>8.0} ns/decision  (IQR {:.0}–{:.0})",
+            nanos.median, nanos.q1, nanos.q3
+        );
+        decisions.push(serde_json::Value::Object(
+            [("request".to_owned(), label.to_owned().into())]
+                .into_iter()
+                .chain(nanos.fields("nanos_per_decision"))
+                .collect(),
+        ));
     }
     (families, decisions)
 }

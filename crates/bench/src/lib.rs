@@ -72,6 +72,47 @@ pub fn print_json(id: &str, value: serde_json::Value) {
     );
 }
 
+/// Timed runs behind every host-clock figure a bench record spreads.
+const RUNS: usize = 5;
+
+/// The spread of five timed runs of one host-clock measurement: the
+/// median and the nearest-rank quartiles, so a change can be told from
+/// run-to-run noise.
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    /// The median run.
+    pub median: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// Runs `measure` five times and spreads what the runs return.
+    pub fn of_runs(mut measure: impl FnMut() -> f64) -> Spread {
+        let mut runs: Vec<f64> = (0..RUNS).map(|_| measure()).collect();
+        runs.sort_by(f64::total_cmp);
+        let rank = |q: f64| runs[((q * RUNS as f64).ceil() as usize).clamp(1, RUNS) - 1];
+        Spread {
+            median: rank(0.5),
+            q1: rank(0.25),
+            q3: rank(0.75),
+        }
+    }
+
+    /// The record fields `name` (the median), `name_q1`, `name_q3` and
+    /// `runs`.
+    pub fn fields(self, name: &str) -> [(String, serde_json::Value); 4] {
+        [
+            (name.to_owned(), self.median.into()),
+            (format!("{name}_q1"), self.q1.into()),
+            (format!("{name}_q3"), self.q3.into()),
+            ("runs".to_owned(), (RUNS as u64).into()),
+        ]
+    }
+}
+
 /// Version stamped into every `BENCH_*.json` artifact by
 /// [`write_bench_json`]; bump when the shared envelope shape changes.
 ///
@@ -114,5 +155,17 @@ mod tests {
         assert_eq!(fmt_ms(Duration::from_micros(500)), "500 µs");
         assert_eq!(fmt_ms(Duration::from_millis(5)), "5.00 ms");
         assert_eq!(fmt_ms(Duration::from_millis(1500)), "1500 ms");
+    }
+
+    #[test]
+    fn spread_is_the_median_and_nearest_rank_quartiles() {
+        let mut runs = [4.0, 1.0, 5.0, 3.0, 2.0].into_iter();
+        let spread = Spread::of_runs(|| runs.next().unwrap());
+        assert_eq!((spread.q1, spread.median, spread.q3), (2.0, 3.0, 4.0));
+        let [median, q1, q3, count] = spread.fields("ns");
+        assert_eq!(median, ("ns".to_owned(), 3.0.into()));
+        assert_eq!(q1, ("ns_q1".to_owned(), 2.0.into()));
+        assert_eq!(q3, ("ns_q3".to_owned(), 4.0.into()));
+        assert_eq!(count, ("runs".to_owned(), 5_u64.into()));
     }
 }

@@ -1,6 +1,6 @@
 //! AES block cipher (FIPS 197), supporting 128- and 256-bit keys.
 //!
-//! Three encrypt paths share one key schedule:
+//! Two encrypt paths share one key schedule:
 //!
 //! * **Hardware path**: on x86-64 CPUs with AES-NI, `encrypt_block` and
 //!   the CTR/GCTR keystream loop run `aesenc`, detected per call; with
@@ -11,15 +11,10 @@
 //!   `MixColumn(SubByte(x))` for the first row; the other three row
 //!   tables are byte rotations of it and are derived with
 //!   `rotate_right`, keeping the cache footprint small.
-//! * **Reference path** (`encrypt_block_reference`): the original
-//!   byte-oriented SubBytes/ShiftRows/MixColumns code, kept for
-//!   auditability — the same trade-off the paper makes for the SM logic
-//!   ("compact and easily inspectable codebase") — and cross-checked
-//!   against the fast path by differential tests.
 //!
-//! Decryption stays byte-oriented: nothing in the Salus data plane
-//! decrypts with the raw block cipher (CTR and GCM only ever run the
-//! forward cipher).
+//! Only the forward cipher exists: CTR, GCM and CMAC never run the
+//! inverse. The tests keep the original byte-oriented
+//! SubBytes/ShiftRows/MixColumns code as an oracle for both paths.
 //!
 //! ```
 //! use salus_crypto::aes::Aes128;
@@ -84,16 +79,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 const RCON: [u8; 15] = [
     0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8, 0xab, 0x4d, 0x9a,
 ];
@@ -154,80 +139,6 @@ fn final_round(s: [u32; 4], rk: &[u32; 4], block: &mut Block) {
             | (u32::from(SBOX[((s[(c + 2) & 3] >> 8) & 0xff) as usize]) << 8)
             | u32::from(SBOX[(s[(c + 3) & 3] & 0xff) as usize]);
         block[4 * c..4 * c + 4].copy_from_slice(&(w ^ rk[c]).to_be_bytes());
-    }
-}
-
-#[inline]
-fn mul(a: u8, mut b: u8) -> u8 {
-    let mut result = 0u8;
-    let mut a = a;
-    while a != 0 {
-        if a & 1 != 0 {
-            result ^= b;
-        }
-        b = xtime(b);
-        a >>= 1;
-    }
-    result
-}
-
-fn sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State is column-major: state[4*c + r] is row r, column c.
-fn shift_rows(s: &mut Block) {
-    let t = *s;
-    for c in 0..4 {
-        for r in 1..4 {
-            s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut Block) {
-    let t = *s;
-    for c in 0..4 {
-        for r in 1..4 {
-            s[4 * ((c + r) % 4) + r] = t[4 * c + r];
-        }
-    }
-}
-
-fn mix_columns(s: &mut Block) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-fn inv_mix_columns(s: &mut Block) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = mul(0x0e, col[0]) ^ mul(0x0b, col[1]) ^ mul(0x0d, col[2]) ^ mul(0x09, col[3]);
-        s[4 * c + 1] =
-            mul(0x09, col[0]) ^ mul(0x0e, col[1]) ^ mul(0x0b, col[2]) ^ mul(0x0d, col[3]);
-        s[4 * c + 2] =
-            mul(0x0d, col[0]) ^ mul(0x09, col[1]) ^ mul(0x0e, col[2]) ^ mul(0x0b, col[3]);
-        s[4 * c + 3] =
-            mul(0x0b, col[0]) ^ mul(0x0d, col[1]) ^ mul(0x09, col[2]) ^ mul(0x0e, col[3]);
-    }
-}
-
-fn add_round_key(s: &mut Block, rk: &Block) {
-    for (b, k) in s.iter_mut().zip(rk.iter()) {
-        *b ^= k;
     }
 }
 
@@ -336,35 +247,6 @@ impl KeySchedule {
         }
         final_round(s, &rks[nr], block);
     }
-
-    /// Byte-oriented reference encrypt (original auditable code path).
-    fn encrypt_block_reference(&self, block: &mut Block) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
-    }
-
-    fn decrypt_block(&self, block: &mut Block) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[nr]);
-        for round in (1..nr).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
-    }
 }
 
 macro_rules! aes_variant {
@@ -396,25 +278,19 @@ macro_rules! aes_variant {
                 self.schedule.encrypt_block_portable(block);
             }
 
+            /// Encrypts one block with the byte-oriented FIPS 197 code,
+            /// the oracle the tests hold both paths to.
+            #[cfg(test)]
+            pub(crate) fn encrypt_block_reference(&self, block: &mut Block) {
+                reference::encrypt_block(&self.schedule.round_keys, block);
+            }
+
             /// XORs the keystream `E(first), E(first + 1), …` (counter
             /// blocks stepped by `kind`) into each whole 16-byte block of
             /// `data`; a trailing partial block is left untouched. The
             /// CTR and GCTR bulk loop.
             pub(crate) fn xor_keystream(&self, data: &mut [u8], first: Block, kind: CounterKind) {
                 self.schedule.xor_keystream(data, first, kind);
-            }
-
-            /// Encrypts one 16-byte block in place using the
-            /// byte-oriented reference implementation. Kept for audit
-            /// and differential testing; produces output identical to
-            /// [`encrypt_block`](Self::encrypt_block).
-            pub fn encrypt_block_reference(&self, block: &mut Block) {
-                self.schedule.encrypt_block_reference(block);
-            }
-
-            /// Decrypts one 16-byte block in place.
-            pub fn decrypt_block(&self, block: &mut Block) {
-                self.schedule.decrypt_block(block);
             }
         }
 
@@ -437,6 +313,60 @@ aes_variant!(
     32,
     "AES with a 256-bit key (14 rounds), as used for `Key_device` bitstream encryption."
 );
+
+/// The original byte-oriented SubBytes/ShiftRows/MixColumns cipher,
+/// kept as the tests' oracle for the T-table and hardware paths.
+#[cfg(test)]
+mod reference {
+    use super::{xtime, Block, SBOX};
+
+    /// Encrypts `block` under `round_keys` (the FIPS 197 schedule).
+    pub(super) fn encrypt_block(round_keys: &[Block], block: &mut Block) {
+        let nr = round_keys.len() - 1;
+        add_round_key(block, &round_keys[0]);
+        for round_key in &round_keys[1..nr] {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            add_round_key(block, round_key);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        add_round_key(block, &round_keys[nr]);
+    }
+
+    fn sub_bytes(state: &mut Block) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    // State is column-major: state[4*c + r] is row r, column c.
+    fn shift_rows(s: &mut Block) {
+        let t = *s;
+        for c in 0..4 {
+            for r in 1..4 {
+                s[4 * c + r] = t[4 * ((c + r) % 4) + r];
+            }
+        }
+    }
+
+    fn mix_columns(s: &mut Block) {
+        for c in 0..4 {
+            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+            s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
+            s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
+            s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
+            s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+        }
+    }
+
+    fn add_round_key(s: &mut Block, rk: &Block) {
+        for (b, k) in s.iter_mut().zip(rk.iter()) {
+            *b ^= k;
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -471,14 +401,6 @@ mod tests {
                 0x0b, 0x32
             ]
         );
-        cipher.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
     }
 
     #[test]
@@ -509,29 +431,6 @@ mod tests {
                 0x60, 0x89
             ]
         );
-        cipher.decrypt_block(&mut block);
-        assert_eq!(block, core::array::from_fn(|i| (i as u8) * 0x11));
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many_keys() {
-        for seed in 0u8..16 {
-            let key: [u8; 32] = core::array::from_fn(|i| (i as u8).wrapping_mul(7) ^ seed);
-            let cipher = Aes256::new(&key);
-            let original: Block = core::array::from_fn(|i| (i as u8).wrapping_add(seed));
-            let mut block = original;
-            encrypt_on_every_backend(&mut block, |b| cipher.encrypt_block(b));
-            assert_ne!(block, original, "encryption must change the block");
-            cipher.decrypt_block(&mut block);
-            assert_eq!(block, original);
-        }
-    }
-
-    #[test]
-    fn inv_sbox_is_inverse() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
     }
 
     #[test]
@@ -562,16 +461,12 @@ mod tests {
             encrypt_on_every_backend(&mut fast, |b| c128.encrypt_block(b));
             c128.encrypt_block_reference(&mut reference);
             assert_eq!(fast, reference, "AES-128 fast path diverged");
-            c128.decrypt_block(&mut fast);
-            assert_eq!(fast, block, "AES-128 decrypt must invert the fast path");
 
             let c256 = Aes256::new(&key256);
             let (mut fast, mut reference) = (block, block);
             encrypt_on_every_backend(&mut fast, |b| c256.encrypt_block(b));
             c256.encrypt_block_reference(&mut reference);
             assert_eq!(fast, reference, "AES-256 fast path diverged");
-            c256.decrypt_block(&mut fast);
-            assert_eq!(fast, block, "AES-256 decrypt must invert the fast path");
         }
     }
 

@@ -681,8 +681,10 @@ mod tests {
     fn large_seal_open_roundtrip() {
         let g = AesGcm256::new(&[0x21u8; 32]);
         let nonce = [3u8; 12];
+        // Long and ragged: many wide GCTR and GHASH iterations, then the
+        // narrow kernels' tails, all held to the portable code.
         let plain: Vec<u8> = (0..786_437).map(|i| (i * 7 % 256) as u8).collect();
-        let sealed = g.seal(&nonce, b"dna", &plain);
+        let sealed = crate::on_every_backend(|| g.seal(&nonce, b"dna", &plain));
         assert_eq!(g.open(&nonce, b"dna", &sealed).unwrap(), plain);
     }
 

@@ -2,7 +2,7 @@
 //! per call by runtime CPU-feature detection.
 //!
 //! Everything else in the crate — CTR, GCM's GCTR and hash key, CMAC,
-//! HMAC, HKDF, the DRBG and the Merkle tree — sits on the AES block
+//! HMAC, HKDF, the DRBG and the Merkle root — sits on the AES block
 //! cipher, its keystream loop and the SHA-256 compression function, and
 //! GCM's tag on the GHASH fold, so these kernels speed up every layer
 //! without an API change. Output is byte-identical to the portable T-table AES,
@@ -19,7 +19,7 @@
 //!   independent messages at once. One round loop serves every `N`: each
 //!   step runs for all lanes, whose `sha256rnds2` chains are independent,
 //!   so the out-of-order core overlaps them. `Sha256::update` runs one
-//!   lane; the Merkle tree runs two, pairing sibling leaves and nodes. On
+//!   lane; the Merkle root runs two, pairing sibling leaves and nodes. On
 //!   the 2-vCPU Xeon the benchmarks ran on, two lanes compress ~10–15%
 //!   more blocks per second than one, and four no more than two.
 //! * **PCLMULQDQ** (`pclmulqdq`): carry-less 64×64-bit multiplies for
@@ -841,9 +841,8 @@ fn narrow_forced() -> bool {
     FORCED.with(std::cell::Cell::get) != Kernels::Dispatched
 }
 
-/// Runs `f` with the dispatch limited to `kernels` on this thread.
-/// Scoped worker threads the parallel paths spawn still dispatch
-/// normally.
+/// Runs `f` with the dispatch limited to `kernels` on this thread
+/// (the crate spawns no threads, so that is all of `f`).
 #[cfg(test)]
 pub(crate) fn forcing<T>(kernels: Kernels, f: impl FnOnce() -> T) -> T {
     struct Restore(Kernels);

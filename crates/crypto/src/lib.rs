@@ -22,8 +22,7 @@
 //! * [`hmac`] — HMAC-SHA256 and HKDF (RFC 2104 / RFC 5869)
 //! * [`siphash`] — SipHash-2-4 (the SM logic's lightweight MAC engine)
 //! * [`drbg`] — HMAC-DRBG (NIST SP 800-90A; enclave-side randomness)
-//! * [`merkle`] — keyed Merkle tree (the DRAM-integrity extension)
-//! * [`parallel`] — scoped-thread chunking policy for bulk data-plane ops
+//! * [`merkle`] — keyed Merkle root (the DRAM-integrity extension)
 //! * [`x25519`] — X25519 Diffie-Hellman (RFC 7748; enclave key exchange)
 //! * [`ct`] — constant-time comparison helpers
 //!
@@ -33,6 +32,11 @@
 //! VPCLMULQDQ and AVX-512 as well, the CTR/GCTR keystream and GHASH run
 //! on 512-bit registers. Every other host runs the portable code. All
 //! give the same bytes. [`backend`] names the kernels in use.
+//!
+//! Every primitive runs on the calling thread and spawns none. The
+//! platform's concurrency lives one level up: a serving drain runs each
+//! board's lanes on its own core, and no buffer it hands a primitive
+//! is large enough for a second split to pay for its thread.
 //!
 //! ## Example
 //!
@@ -61,7 +65,6 @@ pub mod drbg;
 pub mod gcm;
 pub mod hmac;
 pub mod merkle;
-pub mod parallel;
 pub mod sha256;
 pub mod siphash;
 pub mod x25519;
@@ -131,7 +134,7 @@ pub(crate) fn backends_run() -> Vec<&'static str> {
 mod pins {
     use crate::ctr::AesCtr256;
     use crate::gcm::AesGcm256;
-    use crate::merkle::MerkleTree;
+    use crate::merkle;
     use crate::sha256::{to_hex, Sha256};
 
     const MIB: usize = 1 << 20;
@@ -142,7 +145,7 @@ mod pins {
         // 1 MiB and one GCM seal, on each backend.
         crate::on_every_backend(|| {
             let window: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
-            let root = MerkleTree::build(&[0x42; 32], &window, 256).root();
+            let root = merkle::root(&[0x42; 32], &window, 256);
             assert_eq!(
                 to_hex(&root),
                 "a4cd0dfff7c6b5688b6df52e593c58b2cbd700dd0a9a1e5ddc246c32460f3b56"

@@ -34,8 +34,8 @@
 //!   really moving each request's bytes) runs each board on its own
 //!   core: a board's lanes run in lane order on one scoped thread, the
 //!   caller's thread taking the first board, with no more threads than
-//!   boards or cores. Small drains (under [`MIN_BYTES_PER_THREAD`] of
-//!   queued payload) stay on the caller's thread.
+//!   boards or cores. Small drains (under 256 KiB of queued payload)
+//!   stay on the caller's thread.
 //!
 //! Board-parallel execution is deterministic. A lane's bytes depend
 //! only on its own board: the board's device, whose one mutex every
@@ -94,7 +94,6 @@ use salus_core::instance::TestBed;
 use salus_core::platform::{AuditEvent, ControlPlane};
 use salus_core::runtime_attest::{challenge, AttestPolicy, ChallengeOutcome};
 use salus_core::SalusError;
-use salus_crypto::parallel::MIN_BYTES_PER_THREAD;
 use salus_net::clock::SimClock;
 
 use crate::node::SalusNode;
@@ -520,6 +519,14 @@ impl std::fmt::Debug for ServingPlane {
 /// realistic fleet device index.
 const STANDALONE_BUS_BASE: usize = usize::MAX / 2;
 
+/// Queued payload bytes below which a drain stays on the caller's
+/// thread. A scoped spawn and join costs ~34 µs on a 2-vCPU x86-64 host
+/// (`bench_crypto` measured it while the crypto crate still forked),
+/// close to what one board spends serving a 4 KiB request, so a drain
+/// splits by board only once a bulk request's worth of payload is
+/// queued.
+const MIN_SPLIT_BYTES: usize = 256 * 1024;
+
 impl ServingPlane {
     /// An empty plane with `config`.
     pub fn new(config: ServingConfig) -> ServingPlane {
@@ -749,9 +756,8 @@ impl ServingPlane {
     ///
     /// The functional pass runs each board's lanes in lane order on
     /// one thread, and different boards on different threads (the
-    /// caller's among them) once at least
-    /// [`MIN_BYTES_PER_THREAD`] payload bytes are queued and the
-    /// fabric carries no fault plane; the [module docs](self) explain
+    /// caller's among them) once at least 256 KiB of payload is queued
+    /// and the fabric carries no fault plane; the [module docs](self) explain
     /// why the outcome does not depend on the split.
     ///
     /// # Errors
@@ -822,7 +828,7 @@ impl ServingPlane {
         let faulty = queued
             .iter_mut()
             .any(|(_, lane)| lane.session.bed_mut().fabric.has_fault_plane());
-        if bytes < MIN_BYTES_PER_THREAD || faulty {
+        if bytes < MIN_SPLIT_BYTES || faulty {
             return execute_in_order(queued, max_batch);
         }
 

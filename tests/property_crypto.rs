@@ -7,7 +7,7 @@ use salus::crypto::cmac::aes128_cmac;
 use salus::crypto::ctr::{AesCtr128, AesCtr256};
 use salus::crypto::gcm::AesGcm256;
 use salus::crypto::hmac::hmac_sha256;
-use salus::crypto::merkle::MerkleTree;
+use salus::crypto::merkle;
 use salus::crypto::sha256::Sha256;
 use salus::crypto::siphash::SipHash24;
 use salus::crypto::x25519::{PublicKey, StaticSecret};
@@ -109,11 +109,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Incremental `update_chunks` over a random dirty set lands on
-    /// exactly the root a fresh build over the final bytes produces —
-    /// the invariant the integrity session's O(k·log n) refresh rests
-    /// on. Chunk size, buffer length, and the dirty set are all drawn
-    /// dependently via `prop_flat_map`.
+    /// Rewriting a random dirty set of chunks (duplicates allowed —
+    /// later writes win, exactly like repeated DMA fills) leaves the
+    /// root where it was if and only if the final bytes are the
+    /// original bytes: a refreshed root is a fresh root. Chunk size,
+    /// buffer length, and the dirty set are all drawn dependently via
+    /// `prop_flat_map`.
     #[test]
     fn merkle_incremental_refresh_equals_fresh_build(
         key in prop::array::uniform32(any::<u8>()),
@@ -130,33 +131,21 @@ proptest! {
         fill in any::<u8>(),
         patch in any::<u8>(),
     ) {
-        let mut data = vec![fill; len];
-        let mut tree = MerkleTree::build(&key, &data, chunk_size);
+        let original = vec![fill; len];
+        let before = merkle::root(&key, &original, chunk_size);
 
-        // Mutate every dirty chunk (duplicates allowed — later writes
-        // win, exactly like repeated DMA fills), then refresh in one
-        // batch from the final buffer contents.
+        let mut data = original.clone();
         for (i, &chunk) in dirty.iter().enumerate() {
             let start = chunk * chunk_size;
             let end = data.len().min(start + chunk_size);
             data[start..end].fill(patch.wrapping_add(i as u8));
         }
-        let updates: Vec<(usize, &[u8])> = dirty
-            .iter()
-            .map(|&chunk| {
-                let start = chunk * chunk_size;
-                (chunk, &data[start..data.len().min(start + chunk_size)])
-            })
-            .collect();
-        let refreshed = tree.update_chunks(&updates);
-        prop_assert_eq!(refreshed, MerkleTree::build(&key, &data, chunk_size).root());
-        // And the parallel build agrees bit-for-bit.
-        prop_assert_eq!(refreshed, MerkleTree::build_parallel(&key, &data, chunk_size).root());
+        let after = merkle::root(&key, &data, chunk_size);
+        prop_assert_eq!(after == before, data == original);
     }
 
-    /// After any single-bit flip inside a dirty chunk, the refreshed
-    /// root must differ from the pre-flip root — a stale root can
-    /// never authenticate tampered contents.
+    /// Any single-bit flip changes the root, so a stale root can never
+    /// authenticate tampered contents.
     #[test]
     fn merkle_stale_root_rejected_after_bit_flip(
         key in prop::array::uniform32(any::<u8>()),
@@ -167,18 +156,9 @@ proptest! {
         fill in any::<u8>(),
     ) {
         let mut data = vec![fill; len];
-        let mut tree = MerkleTree::build(&key, &data, chunk_size);
-        let stale_root = tree.root();
-
+        let stale_root = merkle::root(&key, &data, chunk_size);
         data[flip_pos] ^= 1 << flip_bit;
-        let chunk = flip_pos / chunk_size;
-        let start = chunk * chunk_size;
-        let fresh_root = tree.update_chunks(
-            &[(chunk, &data[start..data.len().min(start + chunk_size)])],
-        );
-        prop_assert_ne!(fresh_root, stale_root);
-        // The refreshed tree still agrees with a fresh build.
-        prop_assert_eq!(fresh_root, MerkleTree::build(&key, &data, chunk_size).root());
+        prop_assert_ne!(merkle::root(&key, &data, chunk_size), stale_root);
     }
 }
 

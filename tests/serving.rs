@@ -297,7 +297,8 @@ fn a_short_payload_on_one_lane_does_not_disturb_the_drain() {
 }
 
 /// A 64 KiB Affine request: four lanes of a few of these queue more
-/// than `parallel::MIN_BYTES_PER_THREAD`, so a drain splits by board.
+/// than the serving drain's 256 KiB split threshold, so a drain splits
+/// by board.
 fn bulk_affine() -> Affine {
     Affine::new(256, AffineMatrix::demo())
 }
