@@ -774,9 +774,9 @@ mod tests {
         assert_eq!(output, workload.compute(workload.input()));
 
         // The shell snoops both buffers: neither contains plaintext.
-        let snooped_in = bed.shell.snoop_dram(0, workload.input().len()).unwrap();
+        let snooped_in = bed.shell.dma_read(0, workload.input().len()).unwrap();
         assert_ne!(snooped_in, workload.input());
-        let snooped_out = bed.shell.snoop_dram(4 << 20, output.len()).unwrap();
+        let snooped_out = bed.shell.dma_read(4 << 20, output.len()).unwrap();
         assert_ne!(snooped_out, output);
     }
 
@@ -793,7 +793,7 @@ mod tests {
         let mut ciphertext = workload.input().to_vec();
         AesCtr256::new(&key, &iv_in).apply_keystream(&mut ciphertext);
         bed.shell.dma_write(0, &ciphertext).unwrap();
-        bed.shell.tamper_dram(0, &[0xFF]).unwrap();
+        bed.shell.dma_write(0, &[0xFF]).unwrap();
         let tampered = bed.shell.dma_read(0, ciphertext.len()).unwrap();
         assert_ne!(tampered, ciphertext);
     }
@@ -840,7 +840,7 @@ mod tests {
             let mut step = |bed: &mut TestBed, req: &ExecRequest, tamper: bool| {
                 if tamper {
                     let abs = bed.dram_window.base + input_offset;
-                    bed.shell.tamper_dram(abs + 5, &[0xFF]).unwrap();
+                    bed.shell.dma_write(abs + 5, &[0xFF]).unwrap();
                 }
                 let sent = link.with(|s| s.observed.len());
                 let outcome = plan.execute(bed, req, &in_root).unwrap();

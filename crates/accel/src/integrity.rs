@@ -276,7 +276,7 @@ mod tests {
         let mut bed = boot_with_workload(&workload, VERIFIED).unwrap();
         // Interleave: host DMAs, shell tampers, host starts.
         stage_by_hand(&mut bed, &workload, |bed| {
-            bed.shell.tamper_dram(5, &[0xFF]).unwrap();
+            bed.shell.dma_write(5, &[0xFF]).unwrap();
         });
         bed.secure_reg_write(regs::START, 1).unwrap();
         assert_eq!(
@@ -296,7 +296,7 @@ mod tests {
         bed.secure_reg_write(regs::ENCRYPT_OUTPUT, 1).unwrap();
         bed.secure_reg_write(regs::START, 1).unwrap();
         assert_eq!(bed.secure_reg_read(regs::STATUS).unwrap(), 1);
-        bed.shell.tamper_dram((4 << 20) + 3, &[0x5A]).unwrap();
+        bed.shell.dma_write((4 << 20) + 3, &[0x5A]).unwrap();
 
         let output_len = bed.secure_reg_read(regs::OUTPUT_LEN).unwrap() as usize;
         let mut expected_root = [0u8; 32];
@@ -319,7 +319,7 @@ mod tests {
         let workload = Conv::paper_scale();
         let mut bed = boot_with_workload(&workload, MemoryProtection::Confidentiality).unwrap();
         stage_by_hand(&mut bed, &workload, |bed| {
-            bed.shell.tamper_dram(5, &[0xFF]).unwrap();
+            bed.shell.dma_write(5, &[0xFF]).unwrap();
         });
         bed.secure_reg_write(regs::START, 1).unwrap();
         // Completes "successfully" — on corrupted data.

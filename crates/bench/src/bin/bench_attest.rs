@@ -25,7 +25,7 @@ use salus::serving::{LaneId, ServingConfig, ServingPlane};
 use salus_core::platform::{HealthPolicy, PlatformConfig, TenantId};
 use salus_core::runtime_attest::{AttestPolicy, ChallengeVerdict};
 use salus_core::SalusError;
-use salus_fpga::shell::{LoadAttack, Shell};
+use salus_fpga::shell::Shell;
 use salus_net::fault::SplitMix64;
 
 const SEED: u64 = 0xA77E57;
@@ -51,10 +51,9 @@ fn arm(
     let mut session = node.deploy(tenant, workload.as_ref())?;
     let stale = session
         .bed_mut()
-        .shell
-        .observed_bitstreams()
-        .last()
-        .expect("boot observed a stream")
+        .sm_app
+        .prepared_bitstream()
+        .expect("boot prepared a stream")
         .clone();
     let shell = session.bed_mut().shell.clone();
     session.redeploy(workload.as_ref())?;
@@ -125,12 +124,8 @@ fn run() -> Result<(), SalusError> {
             let armed = &lanes[victim];
             armed
                 .shell
-                .set_load_attack(LoadAttack::Replace(armed.stale.clone()));
-            armed
-                .shell
-                .deploy_bitstream(armed.stale.clone())
+                .deploy_bitstream(&armed.stale)
                 .expect("replay loads");
-            armed.shell.set_load_attack(LoadAttack::Honest);
         }
         let tampered_at = clock.now();
         let report = monitor.sweep(&mut plane)?;

@@ -1,21 +1,32 @@
 //! # salus-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§6), plus criterion micro-benchmarks of the substrates.
+//! evaluation (§6), the platform benchmarks and chaos sweeps beyond it,
+//! plus criterion micro-benchmarks of the substrates.
 //!
-//! | Binary              | Regenerates |
-//! |---------------------|-------------|
-//! | `table1_comparison` | Table 1 — FPGA-TEE works comparison |
-//! | `table2_analogy`    | Table 2 — SGX LA ↔ CL attestation analogy (executed live) |
-//! | `table3_secrets`    | Table 3 — per-step secret protection (attack matrix) |
-//! | `table4_apps`       | Table 4 — benchmark applications |
-//! | `table5_resources`  | Table 5 — CL resource utilisation |
-//! | `table6_slowdown`   | Table 6 — CPU/FPGA TEE slowdowns |
-//! | `fig9_boot_time`    | Figure 9 — CL boot-time breakdown |
-//! | `fig10_speedup`     | Figure 10 — normalised workload performance |
+//! | Binary                 | Regenerates / measures |
+//! |------------------------|------------------------|
+//! | `table1_comparison`    | Table 1 — FPGA-TEE works comparison |
+//! | `table2_analogy`       | Table 2 — SGX LA ↔ CL attestation analogy (executed live) |
+//! | `table3_secrets`       | Table 3 — per-step secret protection (attack matrix) |
+//! | `table4_apps`          | Table 4 — benchmark applications |
+//! | `table5_resources`     | Table 5 — CL resource utilisation |
+//! | `table6_slowdown`      | Table 6 — CPU/FPGA TEE slowdowns |
+//! | `fig9_boot_time`       | Figure 9 — CL boot-time breakdown |
+//! | `fig9_ablation`        | Boot-time ablations beyond Figure 9 |
+//! | `fig10_speedup`        | Figure 10 — normalised workload performance |
+//! | `bench_crypto`         | Crypto data-plane throughput (`BENCH_crypto.json`) |
+//! | `bench_fleet`          | Cold vs warm deploys on a mixed fleet (`BENCH_fleet.json`) |
+//! | `bench_serving`        | Serving-plane throughput, serial vs pipelined (`BENCH_serving.json`) |
+//! | `bench_attest`         | Runtime re-attestation detection latency (`BENCH_attest.json`) |
+//! | `chaos_sweep`          | Boot time and retries vs link fault rate |
+//! | `chaos_fleet_sweep`    | Fleet deploy success vs fault intensity (`BENCH_chaos_fleet.json`) |
+//! | `chaos_recovery_sweep` | Crash-recovery latency at every crash point (`BENCH_recovery.json`) |
 //!
-//! Every binary prints a human-readable table followed by a `JSON:` line
-//! for tooling. Run one with `cargo run -p salus-bench --bin <name>`.
+//! Every binary but `chaos_sweep` prints a human-readable table followed
+//! by a `JSON:` line for tooling; `chaos_sweep` prints its table only.
+//! A binary whose row names a record also writes it into the working
+//! directory. Run one with `cargo run -p salus-bench --bin <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -166,16 +166,21 @@ pub fn run_attack(attack: BootAttack) -> AttackOutcome {
         }
         BootAttack::SubstituteStoredBitstream => substitute_stored_bitstream(&mut bed),
         BootAttack::ShellCorruptsBitstream => {
-            bed.shell
-                .set_load_attack(salus_fpga::shell::LoadAttack::CorruptByte(1 << 12));
+            // The shell flips a ciphertext byte of the CL stream (host→fpga
+            // message 0) before it reaches the ICAP.
+            bed.fabric
+                .channel(endpoints::HOST, endpoints::FPGA)
+                .interpose(BitFlipper::new(0, 1 << 12));
         }
         BootAttack::ShellReplaysOldBitstream => {
-            // Boot once honestly to capture a stale-but-valid encrypted
-            // bitstream, then force the shell to replay it on reboot.
+            // Boot once honestly — host→fpga messages 0 (the encrypted
+            // bitstream) and 1 (the attestation request) — then the shell
+            // replays that stale-but-valid stream as message 2, the
+            // reboot's bitstream.
+            bed.fabric
+                .channel(endpoints::HOST, endpoints::FPGA)
+                .interpose(salus_net::adversary::CrossReplayer::new(0, 2));
             secure_boot(&mut bed, BootPlan::single()).expect("first boot is honest");
-            let old = bed.shell.observed_bitstreams()[0].clone();
-            bed.shell
-                .set_load_attack(salus_fpga::shell::LoadAttack::Replace(old));
         }
         BootAttack::ShellReadback => {
             // The attack happens after an honest boot.

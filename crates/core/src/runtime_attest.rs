@@ -274,7 +274,6 @@ mod tests {
     use super::*;
     use crate::boot::{secure_boot, BootPlan};
     use crate::instance::TestBedConfig;
-    use salus_fpga::shell::LoadAttack;
 
     fn booted_bed() -> TestBed {
         let mut bed = TestBed::provision(TestBedConfig::quick());
@@ -304,13 +303,12 @@ mod tests {
         // replay carries the boot-time injection, while the SM enclave
         // has advanced: re-run the deployment path to inject fresh keys
         // first, making the replay stale.
-        let old = bed.shell.observed_bitstreams()[0].clone();
+        let old = std::sync::Arc::clone(bed.sm_app.prepared_bitstream().unwrap());
         secure_boot(&mut bed, BootPlan::single()).unwrap(); // fresh session, fresh keys
         assert_eq!(heartbeat(&mut bed).unwrap(), Heartbeat::Alive);
 
         // Runtime replacement: shell silently reloads the old stream.
-        bed.shell.set_load_attack(LoadAttack::Replace(old.clone()));
-        bed.shell.deploy_bitstream(old).unwrap();
+        bed.shell.deploy_bitstream(&old).unwrap();
 
         assert_eq!(heartbeat(&mut bed).unwrap(), Heartbeat::Compromised);
     }

@@ -59,7 +59,7 @@ pub struct SmApp {
     /// control plane harvests this on eviction so a warm redeploy can
     /// reload the identical ciphertext without re-running manipulation
     /// and encryption. It is immutable once sealed, so the channel to the
-    /// shell and the shell's log share it rather than copy it.
+    /// shell delivers it by reference rather than as a copy.
     prepared: Option<Arc<Vec<u8>>>,
 }
 
@@ -194,8 +194,9 @@ impl SmApp {
     /// The last device-encrypted CL this enclave prepared, if any.
     /// Valid only for the (device, partition) pair it was prepared for —
     /// the partition index is baked into the package digest and the
-    /// ciphertext is GCM-bound to the device DNA.
-    pub(crate) fn prepared_bitstream(&self) -> Option<&Arc<Vec<u8>>> {
+    /// ciphertext is GCM-bound to the device DNA. It is the stream the
+    /// shell loads, so it exposes nothing the shell does not see.
+    pub fn prepared_bitstream(&self) -> Option<&Arc<Vec<u8>>> {
         self.prepared.as_ref()
     }
 

@@ -6,7 +6,8 @@
 //! ```
 
 use salus::core::boot::{secure_boot, BootPlan};
-use salus::core::instance::TestBed;
+use salus::core::instance::{endpoints, TestBed};
+use salus::net::adversary::Snooper;
 
 fn main() {
     println!("=== Salus quickstart ===\n");
@@ -22,6 +23,12 @@ fn main() {
     );
     println!("CL digest H = {}", hex(&bed.package.digest));
 
+    // Everything the host sends the FPGA crosses the shell; record it.
+    let shell_view = bed
+        .fabric
+        .channel(endpoints::HOST, endpoints::FPGA)
+        .interpose(Snooper::new());
+
     // The full Figure-3 flow: remote attestation, local attestation,
     // device-key distribution, RoT injection by bitstream manipulation,
     // encrypted deployment, CL attestation, cascaded report, data-key
@@ -33,12 +40,15 @@ fn main() {
     println!("  CL attested:           {}", outcome.report.cl_attested);
     assert!(outcome.report.all_attested());
 
-    // The shell saw exactly one bitstream — and it was ciphertext.
-    println!(
-        "\nshell observed {} bitstream(s); plaintext module table visible: {}",
-        bed.shell.observed_bitstreams().len(),
-        bed.shell.observed_bytes_contain(b"SLCL")
-    );
+    // The shell saw the bitstream and the attestation request — and
+    // the bitstream was ciphertext.
+    shell_view.with(|s| {
+        println!(
+            "\nshell observed {} host message(s); plaintext module table visible: {}",
+            s.observed.len(),
+            s.saw_bytes(b"SLCL")
+        )
+    });
 
     // Use the secure register channel established by the boot.
     bed.secure_reg_write(0x20, 0xFEED).expect("write");

@@ -12,14 +12,13 @@
 use salus::core::boot::{secure_boot, BootPlan};
 use salus::core::instance::TestBed;
 use salus::core::runtime_attest::{heartbeat, Heartbeat};
-use salus::fpga::shell::LoadAttack;
 
 fn main() {
     println!("=== Runtime attestation monitor ===\n");
 
     let mut bed = TestBed::quick_demo();
     secure_boot(&mut bed, BootPlan::single()).expect("first boot");
-    let stale_stream = bed.shell.observed_bitstreams()[0].clone();
+    let stale_stream = bed.sm_app.prepared_bitstream().unwrap().clone();
 
     // Re-deploy with fresh keys so the captured stream becomes stale.
     secure_boot(&mut bed, BootPlan::single()).expect("second boot");
@@ -32,9 +31,7 @@ fn main() {
 
     println!("\nshell silently reloads a stale (but valid) encrypted CL…");
     bed.shell
-        .set_load_attack(LoadAttack::Replace(stale_stream.clone()));
-    bed.shell
-        .deploy_bitstream(stale_stream)
+        .deploy_bitstream(&stale_stream)
         .expect("the stale stream itself decrypts fine");
 
     let beat = heartbeat(&mut bed).expect("booted");

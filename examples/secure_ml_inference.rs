@@ -42,7 +42,7 @@ fn main() {
     //    saw no plaintext.
     let snooped = bed
         .shell
-        .snoop_dram(0, workload.input().len())
+        .dma_read(0, workload.input().len())
         .expect("shell can always read DRAM");
     println!(
         "shell snooped input buffer; equals plaintext: {}",

@@ -233,7 +233,6 @@ mod tests {
     use super::*;
     use salus_accel::apps::affine::Affine;
     use salus_accel::apps::conv::Conv;
-    use salus_fpga::shell::LoadAttack;
 
     #[test]
     fn deploy_run_heartbeat_cycle() {
@@ -274,13 +273,11 @@ mod tests {
     fn heartbeat_catches_replacement_through_the_session_api() {
         let workload = Conv::paper_scale();
         let mut session = SecureSession::deploy(&workload).unwrap();
-        let stale = session.bed_mut().shell.observed_bitstreams()[0].clone();
+        let stale = std::sync::Arc::clone(session.bed_mut().sm_app.prepared_bitstream().unwrap());
         session.redeploy(&workload).unwrap();
         assert!(session.is_alive().unwrap());
 
-        let shell = session.bed_mut().shell.clone();
-        shell.set_load_attack(LoadAttack::Replace(stale.clone()));
-        shell.deploy_bitstream(stale).unwrap();
+        session.bed_mut().shell.deploy_bitstream(&stale).unwrap();
         assert!(!session.is_alive().unwrap());
     }
 }

@@ -27,7 +27,7 @@ use salus::core::platform::{
     AuditEvent, AuditLog, ControlPlane, DeployPolicy, HealthPolicy, HealthState, PlatformConfig,
 };
 use salus::core::runtime_attest::{AttestPolicy, ChallengeVerdict};
-use salus::fpga::shell::{LoadAttack, Shell};
+use salus::fpga::shell::Shell;
 use salus::net::fault::{FaultPlan, FaultSpec, SplitMix64};
 use salus::node::{node_geometry, SalusNode};
 use salus::serving::{ClientId, LaneId, ServeError, ServingConfig, ServingPlane};
@@ -73,15 +73,14 @@ fn build_fleet(seed: u64, quarantine_after: u32) -> Fleet {
         let tenant = node.register_tenant(&format!("tenant{slot}"));
         let mut session = node.deploy(tenant, workload.as_ref()).expect("deploy");
         // Arm the tamper: capture the encrypted stream the shell
-        // observed at boot, then rotate session keys so the capture
+        // loaded at boot, then rotate session keys so the capture
         // goes stale — replaying it later is a real runtime
         // replacement the next challenge must catch.
         let stale = session
             .bed_mut()
-            .shell
-            .observed_bitstreams()
-            .last()
-            .expect("boot observed a stream")
+            .sm_app
+            .prepared_bitstream()
+            .expect("boot prepared a stream")
             .clone();
         let shell = session.bed_mut().shell.clone();
         session.redeploy(workload.as_ref()).expect("key rotation");
@@ -103,12 +102,10 @@ fn build_fleet(seed: u64, quarantine_after: u32) -> Fleet {
 
 impl Fleet {
     /// Runtime replacement on lane `lane`: the shell silently reloads
-    /// the stale stream, then drops back to honest behaviour.
+    /// the stale stream.
     fn tamper(&self, lane: usize) {
         let (shell, stale) = &self.tampers[lane];
-        shell.set_load_attack(LoadAttack::Replace(stale.clone()));
-        shell.deploy_bitstream(stale.clone()).expect("replay loads");
-        shell.set_load_attack(LoadAttack::Honest);
+        shell.deploy_bitstream(stale).expect("replay loads");
     }
 
     fn now(&self) -> Duration {

@@ -101,7 +101,7 @@ fn out_of_window_dma_fails_closed_with_a_typed_error() {
     let before = session
         .bed_mut()
         .shell
-        .snoop_dram(other.base, other.len)
+        .dma_read(other.base, other.len)
         .unwrap();
 
     // Host side: a transfer starting past the window edge is refused...
@@ -135,7 +135,7 @@ fn out_of_window_dma_fails_closed_with_a_typed_error() {
     assert_eq!(bed.secure_reg_read(regs::OUTPUT_LEN).unwrap(), 0);
 
     // The neighbour's window is bit-identical throughout.
-    let after = bed.shell.snoop_dram(other.base, other.len).unwrap();
+    let after = bed.shell.dma_read(other.base, other.len).unwrap();
     assert_eq!(before, after, "refused accesses must not leak next door");
 
     // And the session itself is still healthy: an honest run completes.
@@ -165,7 +165,7 @@ fn integrity_run_with_tamper(
         .unwrap();
     // The shell strikes at an *absolute* address: it is not bound by
     // any window.
-    bed.shell.tamper_dram(tamper_abs, &[0xFF]).unwrap();
+    bed.shell.dma_write(tamper_abs, &[0xFF]).unwrap();
 
     for (i, chunk) in key.chunks_exact(8).enumerate() {
         bed.secure_reg_write(

@@ -36,8 +36,8 @@ fn encrypted_bitstreams_are_device_bound_across_a_fleet() {
         .unwrap();
     assert_ne!(a.slot.device, b.slot.device, "tenants must spread");
 
-    let stream_a = a.bed.shell.observed_bitstreams()[0].clone();
-    let stream_b = b.bed.shell.observed_bitstreams()[0].clone();
+    let stream_a = a.bed.sm_app.prepared_bitstream().unwrap();
+    let stream_b = b.bed.sm_app.prepared_bitstream().unwrap();
 
     // Cross-loading fails on both boards: streams are bound to the
     // fused key *and* the DNA of the device they were prepared for.
@@ -58,7 +58,7 @@ fn encrypted_bitstreams_are_device_bound_across_a_fleet() {
         &[1; 12],
         a.bed.shell.advertised_dna(),
     );
-    assert!(a.bed.shell.deploy_bitstream(guessed).is_err());
+    assert!(a.bed.shell.deploy_bitstream(&guessed).is_err());
 }
 
 #[test]

@@ -225,7 +225,7 @@ fn homogeneous_paths_are_byte_stable() {
 
     // A homogeneous fleet provisioned through the single-geometry API
     // and through the mixed-spec API are indistinguishable down to the
-    // shell bitstream bytes on every board.
+    // configured shell (static region) bytes on every board.
     let manufacturer = |secret: &[u8]| {
         let service = AttestationService::new(secret);
         SharedManufacturer::new(Manufacturer::new(
@@ -242,9 +242,20 @@ fn homogeneous_paths_are_byte_stable() {
     assert_eq!(single.device_count(), mixed.device_count());
     for board in 0..single.device_count() {
         assert_eq!(single.dna(board), mixed.dna(board), "board {board}");
+        let static_region = |fleet: &DeviceFleet| {
+            let device = fleet.shell(board).unwrap().device();
+            let device = device.lock();
+            assert!(device.shell_loaded(), "board {board} shell configured");
+            device.static_region().flatten()
+        };
+        let shell_bytes = static_region(&single);
+        assert!(
+            shell_bytes.iter().any(|&b| b != 0),
+            "board {board} shell bytes"
+        );
         assert_eq!(
-            single.shell(board).unwrap().observed_bitstreams(),
-            mixed.shell(board).unwrap().observed_bitstreams(),
+            shell_bytes,
+            static_region(&mixed),
             "board {board} shell bytes"
         );
     }

@@ -215,9 +215,9 @@ fn staged_verdicts(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<
     let abs = window
         .to_absolute(input_offset, ciphertext.len())
         .expect("in window");
-    let original = bed.shell.snoop_dram(abs + 777, 1).expect("snoop")[0];
+    let original = bed.shell.dma_read(abs + 777, 1).expect("snoop")[0];
     bed.shell
-        .tamper_dram(abs + 777, &[original ^ 0x40])
+        .dma_write(abs + 777, &[original ^ 0x40])
         .expect("tamper");
     let req = ExecRequest {
         input_offset,
@@ -234,7 +234,7 @@ fn staged_verdicts(mut bed: TestBed, workload: &dyn Workload, seed: u64) -> Vec<
     // 3. Shell restores the original byte: the retry must succeed with
     //    a correct output — no false positive from the refused START.
     bed.shell
-        .tamper_dram(abs + 777, &[original])
+        .dma_write(abs + 777, &[original])
         .expect("restore");
     match stage_execute_verified(&mut bed, &req, &in_root).expect("register channel") {
         VerifiedOutcome::Done {

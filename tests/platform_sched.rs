@@ -92,10 +92,10 @@ fn per_device_keys_stay_isolated_and_cross_tenant_loads_are_rejected() {
     let dnas = node.plane().fleet_dnas();
     assert_eq!(dnas.len(), 2);
     assert_ne!(dnas[0], dnas[1]);
-    let stream_a = a.bed_mut().shell.observed_bitstreams()[0].clone();
-    let stream_b = b.bed_mut().shell.observed_bitstreams()[0].clone();
-    assert!(b.bed_mut().shell.deploy_bitstream(stream_a).is_err());
-    assert!(a.bed_mut().shell.deploy_bitstream(stream_b).is_err());
+    let stream_a = Arc::clone(a.bed_mut().sm_app.prepared_bitstream().unwrap());
+    let stream_b = Arc::clone(b.bed_mut().sm_app.prepared_bitstream().unwrap());
+    assert!(b.bed_mut().shell.deploy_bitstream(&stream_a).is_err());
+    assert!(a.bed_mut().shell.deploy_bitstream(&stream_b).is_err());
 }
 
 #[test]

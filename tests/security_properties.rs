@@ -19,9 +19,10 @@ fn full_attack_matrix_is_detected() {
 
 #[test]
 fn no_secret_material_crosses_any_untrusted_channel_in_plaintext() {
-    // Interpose snoopers on *every* channel of a deployment, boot, then
-    // check that no recorded byte stream contains the plaintext module
-    // table marker or the device key.
+    // Interpose snoopers on the six untrusted channels of a deployment
+    // (client, manufacturer and FPGA links, both ways), boot, then check
+    // that no recorded message contains the plaintext module-table
+    // marker or the data key the boot released.
     let mut bed = TestBed::quick_demo();
     let taps = [
         (endpoints::CLIENT, endpoints::HOST),
@@ -37,6 +38,7 @@ fn no_secret_material_crosses_any_untrusted_channel_in_plaintext() {
         .collect();
 
     secure_boot(&mut bed, BootPlan::single()).unwrap();
+    let data_key = *bed.user_app.data_key().expect("released").as_bytes();
 
     for (handle, (src, dst)) in handles.iter().zip(taps.iter()) {
         // The plaintext CL always contains the "SLCL" module-table magic;
@@ -44,6 +46,10 @@ fn no_secret_material_crosses_any_untrusted_channel_in_plaintext() {
         assert!(
             !handle.with(|s| s.saw_bytes(b"SLCL")),
             "plaintext CL bytes observed on {src}→{dst}"
+        );
+        assert!(
+            !handle.with(|s| s.saw_bytes(&data_key)),
+            "data key observed on {src}→{dst}"
         );
     }
 }
@@ -67,14 +73,19 @@ fn local_attestation_channel_hides_metadata() {
 #[test]
 fn shell_cannot_recover_injected_secrets() {
     let mut bed = TestBed::quick_demo();
+    let tap = bed
+        .fabric
+        .channel(endpoints::HOST, endpoints::FPGA)
+        .interpose(Snooper::new());
     secure_boot(&mut bed, BootPlan::single()).unwrap();
 
     // 1. Readback is disabled.
     assert!(bed.shell.snoop_configuration(0).is_err());
 
-    // 2. The observed bitstream is ciphertext: it shares no 16-byte
-    //    window with the actually loaded configuration.
-    let observed = bed.shell.observed_bitstreams()[0].clone();
+    // 2. The bitstream the shell received (host→FPGA message 0) is
+    //    ciphertext: it shares no 16-byte window with the actually
+    //    loaded configuration.
+    let observed = tap.with(|s| s.observed[0].2.clone());
     let loaded = {
         let device = bed.shell.device();
         let guard = device.lock();
@@ -154,7 +165,7 @@ fn standard_icap_would_leak_the_rot_to_the_shell() {
 
     let device = Device::manufacture(geometry, 1).with_standard_icap();
     let shell = Shell::new(device);
-    shell.deploy_bitstream(manipulated).unwrap();
+    shell.deploy_bitstream(&manipulated).unwrap();
 
     // The shell scans configuration memory and finds the key.
     let scanned = shell.snoop_configuration(0).unwrap();

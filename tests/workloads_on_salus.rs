@@ -20,7 +20,7 @@ fn all_five_workloads_run_on_a_booted_instance() {
         assert_eq!(output, reference, "{} output mismatch", workload.name());
 
         // The shell never saw the plaintext input in DRAM.
-        let snooped = bed.shell.snoop_dram(0, workload.input().len()).unwrap();
+        let snooped = bed.shell.dma_read(0, workload.input().len()).unwrap();
         assert_ne!(
             snooped,
             workload.input(),
@@ -44,7 +44,7 @@ fn encrypted_output_workloads_hide_results_from_the_shell() {
             MemoryProtection::Confidentiality,
         )
         .unwrap();
-        let snooped = bed.shell.snoop_dram(4 << 20, output.len()).unwrap();
+        let snooped = bed.shell.dma_read(4 << 20, output.len()).unwrap();
         assert_ne!(snooped, output, "{} leaked output", workload.name());
     }
 }
