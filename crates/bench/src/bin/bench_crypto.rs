@@ -3,22 +3,28 @@
 //! Measures MiB/s for bulk AES-CTR, AES-GCM seal/open and the end-to-end
 //! `encrypt_for_device` path at 1 MiB and 16 MiB, GHASH and CRC-32
 //! (which every deploy runs over the whole bitstream) at 1 MiB and at
-//! the compiled paper CL's size, and the integrity hash path (SHA-256,
-//! SipHash-2-4 and a Merkle root) over a 1 MiB window. The crate's own
-//! tests hold every kernel to the portable code and to reference
-//! oracles on each backend the host has, so this binary only times.
+//! the compiled paper CL's size, the integrity hash path (SHA-256,
+//! SipHash-2-4 and a Merkle root) over a 1 MiB window, and the secure
+//! register channel's per-call costs in nanoseconds: a short HMAC tag,
+//! a write round trip and the SipHash-against-HMAC MAC ablation. The
+//! crate's own tests hold every kernel to the portable code and to
+//! reference oracles on each backend the host has, so this binary only
+//! times.
 //!
-//! Every throughput row is the median of five timed runs, with the
-//! quartiles beside it (`mbps_q1`, `mbps_q3`), so a change can be told
-//! from run-to-run noise. Results go to stdout and `BENCH_crypto.json`
+//! Every row is the median of five timed runs, with the quartiles
+//! beside it (`mbps_q1`/`mbps_q3`, or `ns_q1`/`ns_q3`), so a change can
+//! be told from run-to-run noise. Results go to stdout and `BENCH_crypto.json`
 //! for comparison on the same machine; the run ends with the
 //! deterministic `merkle_root_1mib` pin line.
 
 use std::time::Instant;
 
 use salus_bench::Spread;
+use salus_core::keys::KeySession;
+use salus_core::reg_channel::{HostRegChannel, LogicRegChannel, RegisterOp};
 use salus_crypto::ctr::AesCtr256;
 use salus_crypto::gcm::AesGcm256;
+use salus_crypto::hmac::HmacKey;
 use salus_crypto::merkle;
 use salus_crypto::sha256::{to_hex, Sha256};
 use salus_crypto::siphash::SipHash24;
@@ -47,18 +53,44 @@ fn throughput_mbps(bytes: usize, iters: u32, mut f: impl FnMut()) -> Spread {
     })
 }
 
-/// A JSON object of `fixed` fields followed by the `mbps` spread.
-fn row(
+/// Calls per timed run of a register-channel row.
+const REG_ITERS: u32 = 200_000;
+
+/// Times five runs of `iters` calls of `f` each, after a warm-up run,
+/// and returns the spread of nanoseconds per call.
+fn nanos_per_call(iters: u32, mut f: impl FnMut()) -> Spread {
+    let mut run = || {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
+    };
+    run(); // warm-up
+    Spread::of_runs(run)
+}
+
+/// A JSON object of `fixed` fields followed by the `name` spread.
+fn row_of(
     fixed: impl IntoIterator<Item = (&'static str, serde_json::Value)>,
-    mbps: Spread,
+    name: &str,
+    spread: Spread,
 ) -> serde_json::Value {
     serde_json::Value::Object(
         fixed
             .into_iter()
             .map(|(k, v)| (k.to_owned(), v))
-            .chain(mbps.fields("mbps"))
+            .chain(spread.fields(name))
             .collect(),
     )
+}
+
+/// A JSON object of `fixed` fields followed by the `mbps` spread.
+fn row(
+    fixed: impl IntoIterator<Item = (&'static str, serde_json::Value)>,
+    mbps: Spread,
+) -> serde_json::Value {
+    row_of(fixed, "mbps", mbps)
 }
 
 fn main() {
@@ -187,6 +219,71 @@ fn main() {
                 ("unit", "MiB/s".into()),
             ],
             mbps,
+        ));
+    }
+
+    // --- Register-channel costs ---
+    //
+    // Per-call nanoseconds: the truncated HMAC tag over a register
+    // write's 22-byte MAC input (direction, counter, 13-byte
+    // ciphertext), one whole write round trip between the two channel
+    // endpoints, and the MAC ablation on a 21-byte message — SipHash-2-4
+    // against the HMAC-SHA256 the channel uses, each keyed once.
+    println!("\nRegister channel (ns per call)\n");
+    let session = KeySession::from_bytes([0x33; 32]);
+    let hmac_key = HmacKey::new(session.as_bytes());
+    let mac_input = [0xABu8; 22];
+    let mut host = HostRegChannel::new(session, 0);
+    let mut logic = LogicRegChannel::new(session, 0);
+    let sip = SipHash24::new(&[7; 16]);
+    let ablation_key = HmacKey::new(&[7; 32]);
+    let ablation_msg = [0xABu8; 21];
+    for (name, bytes, nanos) in [
+        (
+            "hmac_tag_short",
+            mac_input.len(),
+            nanos_per_call(REG_ITERS, || {
+                std::hint::black_box(hmac_key.tag(std::hint::black_box(&mac_input)));
+            }),
+        ),
+        (
+            "reg_round_trip",
+            13,
+            nanos_per_call(REG_ITERS, || {
+                let sealed = host.seal_op(RegisterOp::Write { addr: 4, value: 99 });
+                let op = logic.open_op(std::hint::black_box(&sealed));
+                assert!(matches!(op, Ok(RegisterOp::Write { .. })));
+                let response = logic.seal_response(0);
+                std::hint::black_box(host.open_response(&response).ok());
+            }),
+        ),
+        (
+            "mac_ablation_siphash24",
+            ablation_msg.len(),
+            nanos_per_call(REG_ITERS, || {
+                std::hint::black_box(sip.hash(std::hint::black_box(&ablation_msg)));
+            }),
+        ),
+        (
+            "mac_ablation_hmac_sha256",
+            ablation_msg.len(),
+            nanos_per_call(REG_ITERS, || {
+                std::hint::black_box(ablation_key.tag(std::hint::black_box(&ablation_msg)));
+            }),
+        ),
+    ] {
+        println!(
+            "  {bytes:>3} B  {name:<26} {:>9.1} ns  (IQR {:.1}–{:.1})",
+            nanos.median, nanos.q1, nanos.q3
+        );
+        rows.push(row_of(
+            [
+                ("bench", name.into()),
+                ("bytes", (bytes as u64).into()),
+                ("unit", "ns".into()),
+            ],
+            "ns",
+            nanos,
         ));
     }
 

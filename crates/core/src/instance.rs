@@ -483,14 +483,16 @@ impl TestBed {
                 self.fabric.channel(fpga, host),
             )
         });
-        let sealed = host_reg.seal_op(op);
-
-        // The transaction crosses the shell-controlled PCIe bus.
-        let observed = to_fpga.transmit(&sealed.to_bytes())?;
+        // The transaction crosses the shell-controlled PCIe bus. Both
+        // messages are encoded on the stack, and an honest link hands
+        // the receiver the sender's bytes, so the round trip allocates
+        // only when an adversary or a fault rewrites a message.
+        let request = host_reg.seal_op(op).to_bytes();
+        let observed = to_fpga.transmit_borrowed(&request, None)?;
         let observed = crate::reg_channel::SealedRegMsg::from_bytes(&observed)?;
-        let response = logic.handle_register(&observed)?;
+        let response = logic.handle_register(&observed)?.to_bytes();
 
-        let back = to_host.transmit(&response.to_bytes())?;
+        let back = to_host.transmit_borrowed(&response, None)?;
         let back = crate::reg_channel::SealedRegMsg::from_bytes(&back)?;
         host_reg.open_response(&back)
     }

@@ -9,12 +9,99 @@
 //! "transparently decrypts, verifies, and forwards the register
 //! transaction to the accelerator."
 
-use salus_crypto::aes::Aes256;
-use salus_crypto::ctr::AesCtr256;
-use salus_crypto::hmac::HmacSha256;
+use std::ops::{Deref, DerefMut};
+
+use salus_crypto::aes::{Aes256, BLOCK_SIZE};
+use salus_crypto::hmac::HmacKey;
 
 use crate::keys::KeySession;
 use crate::SalusError;
+
+/// The longest payload a sealed message carries: one AES block, so its
+/// keystream is the single block `E(nonce)`. A register operation is 13
+/// bytes and a response 8.
+pub const MAX_PAYLOAD: usize = BLOCK_SIZE;
+
+/// Bytes of the truncated HMAC tag.
+const MAC_LEN: usize = 16;
+
+/// Bytes ahead of the ciphertext on the wire: the counter (u64 LE) and
+/// the ciphertext length (u32 LE).
+const HEADER_LEN: usize = 8 + 4;
+
+/// The longest encoded [`SealedRegMsg`].
+pub const MAX_WIRE_LEN: usize = HEADER_LEN + MAX_PAYLOAD + MAC_LEN;
+
+/// Bytes of the MAC input: direction, counter and ciphertext.
+const MAC_INPUT_LEN: usize = 1 + 8 + MAX_PAYLOAD;
+
+/// At most `CAP` bytes, held inline: a payload, a ciphertext or an
+/// encoded message of the register channel, which never touches the
+/// heap. Dereferences to the bytes in use; the bytes past them are
+/// zero, so fixed-size code may read the whole array.
+#[derive(Clone, Copy)]
+pub struct InlineBytes<const CAP: usize> {
+    bytes: [u8; CAP],
+    len: usize,
+}
+
+impl<const CAP: usize> InlineBytes<CAP> {
+    /// `parts` one after another. Every caller's parts fit in `CAP`; a
+    /// part that would not is left out, with all parts after it.
+    fn concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> InlineBytes<CAP> {
+        let mut out = InlineBytes {
+            bytes: [0; CAP],
+            len: 0,
+        };
+        for part in parts {
+            let Some(dst) = out.bytes.get_mut(out.len..out.len + part.len()) else {
+                break;
+            };
+            dst.copy_from_slice(part);
+            out.len += part.len();
+        }
+        out
+    }
+
+    /// `bytes`, whose length the compiler checks against `CAP`.
+    fn from_array<const N: usize>(bytes: [u8; N]) -> InlineBytes<CAP> {
+        const { assert!(N <= CAP) };
+        InlineBytes::concat([&bytes[..]])
+    }
+
+    /// A copy of `bytes`, or `None` if they exceed `CAP`.
+    fn from_slice(bytes: &[u8]) -> Option<InlineBytes<CAP>> {
+        (bytes.len() <= CAP).then(|| InlineBytes::concat([bytes]))
+    }
+}
+
+impl<const CAP: usize> Deref for InlineBytes<CAP> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes.get(..self.len).unwrap_or_default()
+    }
+}
+
+impl<const CAP: usize> DerefMut for InlineBytes<CAP> {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.bytes.get_mut(..self.len).unwrap_or_default()
+    }
+}
+
+impl<const CAP: usize> PartialEq for InlineBytes<CAP> {
+    fn eq(&self, other: &InlineBytes<CAP>) -> bool {
+        **self == **other
+    }
+}
+
+impl<const CAP: usize> Eq for InlineBytes<CAP> {}
+
+impl<const CAP: usize> std::fmt::Debug for InlineBytes<CAP> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A register operation as seen by the accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,30 +122,24 @@ pub enum RegisterOp {
 
 impl RegisterOp {
     fn to_bytes(self) -> [u8; 13] {
-        let mut out = [0u8; 13];
-        match self {
-            RegisterOp::Write { addr, value } => {
-                out[0] = 1;
-                out[1..5].copy_from_slice(&addr.to_le_bytes());
-                out[5..].copy_from_slice(&value.to_le_bytes());
-            }
-            RegisterOp::Read { addr } => {
-                out[0] = 2;
-                out[1..5].copy_from_slice(&addr.to_le_bytes());
-            }
-        }
-        out
+        let (tag, addr, value) = match self {
+            RegisterOp::Write { addr, value } => (1, addr, value),
+            RegisterOp::Read { addr } => (2, addr, 0),
+        };
+        let [a0, a1, a2, a3] = addr.to_le_bytes();
+        let [v0, v1, v2, v3, v4, v5, v6, v7] = value.to_le_bytes();
+        [tag, a0, a1, a2, a3, v0, v1, v2, v3, v4, v5, v6, v7]
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<RegisterOp, SalusError> {
-        if bytes.len() != 13 {
+        let Ok(&[tag, a0, a1, a2, a3, ref value @ ..]) = <&[u8; 13]>::try_from(bytes) else {
             return Err(SalusError::Malformed("register op"));
-        }
-        let addr = u32::from_le_bytes(bytes[1..5].try_into().expect("4"));
-        match bytes[0] {
+        };
+        let addr = u32::from_le_bytes([a0, a1, a2, a3]);
+        match tag {
             1 => Ok(RegisterOp::Write {
                 addr,
-                value: u64::from_le_bytes(bytes[5..].try_into().expect("8")),
+                value: u64::from_le_bytes(*value),
             }),
             2 => Ok(RegisterOp::Read { addr }),
             _ => Err(SalusError::Malformed("register op tag")),
@@ -67,24 +148,37 @@ impl RegisterOp {
 }
 
 /// One protected message (either direction).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SealedRegMsg {
     /// The counter value this message was sealed at.
     pub ctr: u64,
     /// AES-CTR ciphertext of the payload.
-    pub ciphertext: Vec<u8>,
+    ciphertext: InlineBytes<MAX_PAYLOAD>,
     /// Truncated HMAC-SHA256 over `(direction, ctr, ciphertext)`.
-    pub mac: [u8; 16],
+    pub mac: [u8; MAC_LEN],
 }
 
 impl SealedRegMsg {
-    /// Canonical byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + self.ciphertext.len() + 16);
-        out.extend_from_slice(&self.ctr.to_le_bytes());
-        out.extend_from_slice(&(self.ciphertext.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.ciphertext);
-        out.extend_from_slice(&self.mac);
+    /// AES-CTR ciphertext of the payload.
+    pub fn ciphertext(&self) -> &[u8] {
+        &self.ciphertext
+    }
+
+    /// Canonical byte encoding: counter (u64 LE), ciphertext length
+    /// (u32 LE), ciphertext, tag.
+    pub fn to_bytes(&self) -> InlineBytes<MAX_WIRE_LEN> {
+        let len = self.ciphertext.len;
+        let mut out = InlineBytes::concat([
+            &self.ctr.to_le_bytes()[..],
+            &(len as u32).to_le_bytes(),
+            &self.ciphertext.bytes,
+        ]);
+        // The tag goes over the ciphertext's zero tail.
+        let tag_at = HEADER_LEN + len;
+        if let Some(dst) = out.bytes.get_mut(tag_at..tag_at + MAC_LEN) {
+            dst.copy_from_slice(&self.mac);
+            out.len = tag_at + MAC_LEN;
+        }
         out
     }
 
@@ -92,20 +186,22 @@ impl SealedRegMsg {
     ///
     /// # Errors
     ///
-    /// [`SalusError::Malformed`] on truncation.
+    /// [`SalusError::Malformed`] on truncation, on a length field that
+    /// disagrees with the message, and on a ciphertext longer than
+    /// [`MAX_PAYLOAD`].
     pub fn from_bytes(bytes: &[u8]) -> Result<SealedRegMsg, SalusError> {
-        if bytes.len() < 12 + 16 {
-            return Err(SalusError::Malformed("sealed reg msg"));
-        }
-        let ctr = u64::from_le_bytes(bytes[..8].try_into().expect("8"));
-        let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4")) as usize;
-        if bytes.len() != 12 + len + 16 {
+        let truncated = || SalusError::Malformed("sealed reg msg");
+        let (ctr, rest) = bytes.split_first_chunk::<8>().ok_or_else(truncated)?;
+        let (len, rest) = rest.split_first_chunk::<4>().ok_or_else(truncated)?;
+        let (ciphertext, mac) = rest.split_last_chunk::<MAC_LEN>().ok_or_else(truncated)?;
+        if u32::try_from(ciphertext.len()) != Ok(u32::from_le_bytes(*len)) {
             return Err(SalusError::Malformed("sealed reg msg length"));
         }
         Ok(SealedRegMsg {
-            ctr,
-            ciphertext: bytes[12..12 + len].to_vec(),
-            mac: bytes[12 + len..].try_into().expect("16"),
+            ctr: u64::from_le_bytes(*ctr),
+            ciphertext: InlineBytes::from_slice(ciphertext)
+                .ok_or(SalusError::Malformed("sealed reg msg too long"))?,
+            mac: *mac,
         })
     }
 }
@@ -118,42 +214,59 @@ enum Direction {
 }
 
 /// `Key_session` expanded once per endpoint: the AES-256 schedule for
-/// the payload stream and the keyed HMAC state for the tag. Every
-/// transaction reuses both, so a register round trip pays no key
-/// expansion.
+/// the payload keystream and the HMAC midstates for the tag. A
+/// transaction then costs one AES block per payload and two SHA-256
+/// compressions per tag, with no key expansion and no allocation.
 #[derive(Debug, Clone)]
 struct SessionCrypto {
     cipher: Aes256,
-    mac: HmacSha256,
+    mac: HmacKey,
 }
 
 impl SessionCrypto {
     fn new(key: &KeySession) -> SessionCrypto {
         SessionCrypto {
             cipher: Aes256::new(key.as_bytes()),
-            mac: HmacSha256::new(key.as_bytes()),
+            mac: HmacKey::new(key.as_bytes()),
         }
     }
 
-    /// XORs the `(dir, ctr)` keystream into `payload`.
-    fn apply_keystream(&self, dir: Direction, ctr: u64, payload: &mut [u8]) {
-        let mut nonce = [0u8; 16];
-        nonce[0] = dir as u8 + 1;
-        nonce[8..].copy_from_slice(&ctr.to_le_bytes());
-        AesCtr256::from_cipher(self.cipher.clone(), &nonce).apply_keystream(payload);
+    /// XORs the `(dir, ctr)` keystream into `payload`: AES-CTR from the
+    /// counter block `dir + 1 || 0⁷ || ctr (u64 LE)`, whose first block
+    /// covers any payload. The payload's zero tail stays zero.
+    fn apply_keystream(&self, dir: Direction, ctr: u64, payload: &mut InlineBytes<MAX_PAYLOAD>) {
+        let mut keystream = (u128::from(ctr) << 64 | u128::from(dir as u8 + 1)).to_le_bytes();
+        self.cipher.encrypt_block(&mut keystream);
+        let in_use = u128::MAX
+            .checked_shr(8 * BLOCK_SIZE.saturating_sub(payload.len) as u32)
+            .unwrap_or(0);
+        let keystream = u128::from_le_bytes(keystream) & in_use;
+        payload.bytes = (u128::from_le_bytes(payload.bytes) ^ keystream).to_le_bytes();
     }
 
     /// Truncated HMAC over `(direction, ctr, ciphertext)`.
-    fn tag(&self, dir: Direction, ctr: u64, ciphertext: &[u8]) -> [u8; 16] {
-        let mut mac = self.mac.clone();
-        mac.update(&[dir as u8 + 1]);
-        mac.update(&ctr.to_le_bytes());
-        mac.update(ciphertext);
-        mac.finalize()[..16].try_into().expect("16")
+    fn tag(
+        &self,
+        dir: Direction,
+        ctr: u64,
+        ciphertext: &InlineBytes<MAX_PAYLOAD>,
+    ) -> [u8; MAC_LEN] {
+        let input = InlineBytes::<MAC_INPUT_LEN>::concat([
+            &[dir as u8 + 1][..],
+            &ctr.to_le_bytes(),
+            &ciphertext.bytes,
+        ]);
+        let in_use = MAC_INPUT_LEN - MAX_PAYLOAD + ciphertext.len;
+        let digest = self.mac.tag(input.bytes.get(..in_use).unwrap_or_default());
+        core::array::from_fn(|i| digest[i])
     }
 
-    fn seal(&self, dir: Direction, ctr: u64, payload: &[u8]) -> SealedRegMsg {
-        let mut ciphertext = payload.to_vec();
+    fn seal(
+        &self,
+        dir: Direction,
+        ctr: u64,
+        mut ciphertext: InlineBytes<MAX_PAYLOAD>,
+    ) -> SealedRegMsg {
         self.apply_keystream(dir, ctr, &mut ciphertext);
         let mac = self.tag(dir, ctr, &ciphertext);
         SealedRegMsg {
@@ -168,7 +281,7 @@ impl SessionCrypto {
         dir: Direction,
         expected_ctr: u64,
         msg: &SealedRegMsg,
-    ) -> Result<Vec<u8>, SalusError> {
+    ) -> Result<InlineBytes<MAX_PAYLOAD>, SalusError> {
         if msg.ctr != expected_ctr {
             return Err(SalusError::RegisterChannelViolation("counter mismatch"));
         }
@@ -176,7 +289,7 @@ impl SessionCrypto {
         if !salus_crypto::ct::eq(&mac, &msg.mac) {
             return Err(SalusError::RegisterChannelViolation("MAC mismatch"));
         }
-        let mut plaintext = msg.ciphertext.clone();
+        let mut plaintext = msg.ciphertext;
         self.apply_keystream(dir, msg.ctr, &mut plaintext);
         Ok(plaintext)
     }
@@ -200,9 +313,11 @@ impl HostRegChannel {
 
     /// Seals the next register operation.
     pub fn seal_op(&mut self, op: RegisterOp) -> SealedRegMsg {
-        let msg = self
-            .crypto
-            .seal(Direction::HostToLogic, self.ctr, &op.to_bytes());
+        let msg = self.crypto.seal(
+            Direction::HostToLogic,
+            self.ctr,
+            InlineBytes::from_array(op.to_bytes()),
+        );
         self.ctr = self.ctr.wrapping_add(1);
         msg
     }
@@ -217,10 +332,9 @@ impl HostRegChannel {
         let plain = self
             .crypto
             .open(Direction::LogicToHost, self.ctr.wrapping_sub(1), msg)?;
-        if plain.len() != 8 {
-            return Err(SalusError::Malformed("register response"));
-        }
-        Ok(u64::from_le_bytes(plain.try_into().expect("8")))
+        let value =
+            <[u8; 8]>::try_from(&*plain).map_err(|_| SalusError::Malformed("register response"))?;
+        Ok(u64::from_le_bytes(value))
     }
 }
 
@@ -259,7 +373,7 @@ impl LogicRegChannel {
         self.crypto.seal(
             Direction::LogicToHost,
             self.expected_ctr.wrapping_sub(1),
-            &value.to_le_bytes(),
+            InlineBytes::from_array(value.to_le_bytes()),
         )
     }
 }

@@ -167,12 +167,13 @@ impl SmLogic {
     ///
     /// [`SalusError::RegisterChannelViolation`] on tampering or replay.
     pub fn handle_register(&mut self, msg: &SealedRegMsg) -> Result<SealedRegMsg, SalusError> {
-        if self.reg_state.is_none() {
-            let key = self.key_session()?;
-            let seed = self.ctr_session()?.value();
-            self.reg_state = Some(LogicRegChannel::new(key, seed));
-        }
-        let channel = self.reg_state.as_mut().expect("just initialised");
+        let channel = match self.reg_state {
+            Some(ref mut channel) => channel,
+            None => self.reg_state.insert(LogicRegChannel::new(
+                self.key_session()?,
+                self.ctr_session()?.value(),
+            )),
+        };
         let op = channel.open_op(msg)?;
         let value = match op {
             RegisterOp::Write { addr, value } => {
@@ -181,11 +182,7 @@ impl SmLogic {
             }
             RegisterOp::Read { addr } => self.accelerator.read_reg(addr),
         };
-        Ok(self
-            .reg_state
-            .as_ref()
-            .expect("initialised")
-            .seal_response(value))
+        Ok(channel.seal_response(value))
     }
 
     /// Resets the register-channel state (e.g. after a reload).

@@ -142,13 +142,20 @@ fn final_round(s: [u32; 4], rk: &[u32; 4], block: &mut Block) {
     }
 }
 
-/// Expanded AES key schedule for an arbitrary supported key size.
+/// AES-256 has the longest schedule: 14 rounds, 15 round keys.
+pub(crate) const MAX_ROUND_KEYS: usize = 15;
+
+/// Expanded AES key schedule for an arbitrary supported key size, held
+/// inline so a cipher clones without touching the heap.
 #[derive(Clone)]
 struct KeySchedule {
-    round_keys: Vec<Block>,
+    /// Round keys `0..len`; the rest stay zero.
+    round_keys: [Block; MAX_ROUND_KEYS],
     /// The same round keys as big-endian column words, for the T-table
     /// path (word `c` covers state bytes `4c..4c+4`).
-    round_keys_w: Vec<[u32; 4]>,
+    round_keys_w: [[u32; 4]; MAX_ROUND_KEYS],
+    /// Round keys in use: 11, 13 or 15.
+    len: usize,
 }
 
 impl KeySchedule {
@@ -158,9 +165,9 @@ impl KeySchedule {
         let nr = nk + 6; // rounds: 10 / 12 / 14
         let total_words = 4 * (nr + 1);
 
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            word.copy_from_slice(bytes);
         }
         for i in nk..total_words {
             let mut temp = w[i - 1];
@@ -176,41 +183,31 @@ impl KeySchedule {
                 }
             }
             let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = core::array::from_fn(|b| prev[b] ^ temp[b]);
         }
 
-        let round_keys: Vec<Block> = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
+        let round_keys: [Block; MAX_ROUND_KEYS] =
+            core::array::from_fn(|r| core::array::from_fn(|i| w[4 * r + i / 4][i % 4]));
+        let round_keys_w = round_keys.map(|rk| {
+            core::array::from_fn(|c| {
+                u32::from_be_bytes([rk[4 * c], rk[4 * c + 1], rk[4 * c + 2], rk[4 * c + 3]])
             })
-            .collect();
-        let round_keys_w = round_keys
-            .iter()
-            .map(|rk| {
-                core::array::from_fn(|c| {
-                    u32::from_be_bytes([rk[4 * c], rk[4 * c + 1], rk[4 * c + 2], rk[4 * c + 3]])
-                })
-            })
-            .collect();
+        });
         KeySchedule {
             round_keys,
             round_keys_w,
+            len: nr + 1,
         }
+    }
+
+    /// The round keys in use.
+    fn round_keys(&self) -> &[Block] {
+        &self.round_keys[..self.len]
     }
 
     fn encrypt_block(&self, block: &mut Block) {
         #[cfg(target_arch = "x86_64")]
-        if crate::hw::encrypt_block(&self.round_keys, block) {
+        if crate::hw::encrypt_block(self.round_keys(), block) {
             return;
         }
         self.encrypt_block_portable(block);
@@ -222,7 +219,7 @@ impl KeySchedule {
     /// untouched.
     fn xor_keystream(&self, data: &mut [u8], first: Block, kind: CounterKind) {
         #[cfg(target_arch = "x86_64")]
-        if crate::hw::xor_keystream(&self.round_keys, data, first, kind) {
+        if crate::hw::xor_keystream(self.round_keys(), data, first, kind) {
             return;
         }
         let mut counter = u128::from_be_bytes(first);
@@ -239,7 +236,7 @@ impl KeySchedule {
     /// in the most significant byte; ShiftRows means output column `c`
     /// row `r` reads input column `c + r` (mod 4).
     fn encrypt_block_portable(&self, block: &mut Block) {
-        let rks = &self.round_keys_w;
+        let rks = &self.round_keys_w[..self.len];
         let nr = rks.len() - 1;
         let mut s = load_state(block, &rks[0]);
         for rk in &rks[1..nr] {
@@ -282,7 +279,7 @@ macro_rules! aes_variant {
             /// the oracle the tests hold both paths to.
             #[cfg(test)]
             pub(crate) fn encrypt_block_reference(&self, block: &mut Block) {
-                reference::encrypt_block(&self.schedule.round_keys, block);
+                reference::encrypt_block(self.schedule.round_keys(), block);
             }
 
             /// XORs the keystream `E(first), E(first + 1), …` (counter

@@ -21,7 +21,10 @@
 //!   so the out-of-order core overlaps them. `Sha256::update` runs one
 //!   lane; the Merkle root runs two, pairing sibling leaves and nodes. On
 //!   the 2-vCPU Xeon the benchmarks ran on, two lanes compress ~10–15%
-//!   more blocks per second than one, and four no more than two.
+//!   more blocks per second than one, and four no more than two. A
+//!   one-block HMAC (`hmac_one_block`) runs its inner and outer
+//!   compressions in one call, handing the inner state to the outer
+//!   message in registers.
 //! * **PCLMULQDQ** (`pclmulqdq`): carry-less 64×64-bit multiplies for
 //!   GHASH, four blocks folded per reduction against precomputed
 //!   `H⁴, H³, H², H` (Gueron and Kounavis, "Intel Carry-Less
@@ -75,11 +78,11 @@ use core::arch::x86_64::{
     _mm_cvtsi32_si128, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32,
     _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
     _mm_slli_epi64, _mm_slli_si128, _mm_srli_epi64, _mm_srli_si128, _mm_unpackhi_epi64,
-    _mm_xor_si128,
+    _mm_unpacklo_epi64, _mm_xor_si128,
 };
 
-use crate::aes::{Block, CounterKind, BLOCK_SIZE};
-use crate::sha256::K;
+use crate::aes::{Block, CounterKind, BLOCK_SIZE, MAX_ROUND_KEYS};
+use crate::sha256::{Digest, DIGEST_SIZE, K};
 
 /// Counter blocks in flight per keystream iteration of the AES-NI
 /// kernel.
@@ -91,9 +94,6 @@ const WIDE_LANES: usize = 4;
 const WIDE_REGS: usize = 4;
 /// Bytes one wide iteration covers: 16 blocks.
 const WIDE_BYTES: usize = WIDE_REGS * WIDE_LANES * BLOCK_SIZE;
-
-/// AES-256 has the longest schedule: 14 rounds, 15 round keys.
-const MAX_ROUND_KEYS: usize = 15;
 
 /// Whether the CPU has AES-NI (SSE2 is part of the x86-64 baseline).
 fn has_aes() -> bool {
@@ -388,55 +388,151 @@ fn vaes_xor_keystream(round_keys: &[Block], data: &mut [u8], first: u128, kind: 
 /// `N = 1` is plain serial SHA-256.
 #[target_feature(enable = "sha,ssse3,sse4.1")]
 fn sha256_blocks<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
-    // Byte-swaps each 32-bit lane: message words are big-endian.
-    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
     let mut abef = [_mm_setzero_si128(); N];
     let mut cdgh = [_mm_setzero_si128(); N];
     let count = blocks.first().map_or(0, |lane| lane.len() / 64);
     let mut lanes_blocks: [&[[u8; 64]]; N] = [&[]; N];
     for l in 0..N {
-        let [a, b, c, d, e, f, g, h] = states[l].map(|word| word as i32);
-        abef[l] = _mm_set_epi32(a, b, e, f);
-        cdgh[l] = _mm_set_epi32(c, d, g, h);
+        (abef[l], cdgh[l]) = state_regs(&states[l]);
         lanes_blocks[l] = &blocks[l].as_chunks().0[..count];
     }
 
     for i in 0..count {
-        let (abef_in, cdgh_in) = (abef, cdgh);
-        // Group `r` is message words 4r..4r+4. Groups 0–3 come from the
-        // block; each later one is scheduled from the four before it,
-        // overwriting the oldest, so `w0..w3` act as a ring.
         let mut w = [[_mm_setzero_si128(); N]; 4];
         for (l, block) in lanes_blocks.map(|lane| &lane[i]).into_iter().enumerate() {
             for (g, group) in w.iter_mut().enumerate() {
-                group[l] = _mm_shuffle_epi8(load(&block[16 * g..16 * g + 16]), bswap);
+                group[l] = message_group(&block[16 * g..16 * g + 16]);
             }
         }
-        let [mut w0, mut w1, mut w2, mut w3] = w;
-        rounds4(&mut abef, &mut cdgh, w0, 0);
-        rounds4(&mut abef, &mut cdgh, w1, 1);
-        rounds4(&mut abef, &mut cdgh, w2, 2);
-        rounds4(&mut abef, &mut cdgh, w3, 3);
-        for r in (4..16).step_by(4) {
-            w0 = schedule(w0, w1, w2, w3);
-            rounds4(&mut abef, &mut cdgh, w0, r);
-            w1 = schedule(w1, w2, w3, w0);
-            rounds4(&mut abef, &mut cdgh, w1, r + 1);
-            w2 = schedule(w2, w3, w0, w1);
-            rounds4(&mut abef, &mut cdgh, w2, r + 2);
-            w3 = schedule(w3, w0, w1, w2);
-            rounds4(&mut abef, &mut cdgh, w3, r + 3);
-        }
-        for l in 0..N {
-            abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
-            cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
-        }
+        compress_block(&mut abef, &mut cdgh, w);
     }
 
     for l in 0..N {
-        let [f, e, b, a] = lanes(abef[l]);
-        let [h, g, d, c] = lanes(cdgh[l]);
-        states[l] = [a, b, c, d, e, f, g, h];
+        states[l] = state_words(abef[l], cdgh[l]);
+    }
+}
+
+/// HMAC-SHA256's two hashes after the key blocks, on SHA-NI if the CPU
+/// has it: `block` (the whole padded inner message) from the `inner`
+/// midstate, then the one-block outer message — the inner digest and
+/// its padding — from `outer`. The inner digest passes to the outer
+/// hash in registers. Returns the tag, or `None` without SHA-NI.
+pub(crate) fn hmac_one_block(
+    inner: &[u32; 8],
+    outer: &[u32; 8],
+    block: &[u8; 64],
+) -> Option<Digest> {
+    if !has_sha() {
+        return None;
+    }
+    // SAFETY: `has_sha` just confirmed SHA, SSSE3 and SSE4.1 — exactly
+    // the features `hmac_blocks` enables.
+    Some(unsafe { hmac_blocks(inner, outer, block) })
+}
+
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn hmac_blocks(inner: &[u32; 8], outer: &[u32; 8], block: &[u8; 64]) -> Digest {
+    let (abef, cdgh) = state_regs(inner);
+    let (mut abef, mut cdgh) = ([abef], [cdgh]);
+    compress_block(
+        &mut abef,
+        &mut cdgh,
+        core::array::from_fn(|g| [message_group(&block[16 * g..16 * g + 16])]),
+    );
+    // The outer message words are the inner state words A..H, then
+    // 0x80000000, six zeros and the bit length of the `opad` block and
+    // digest, 768. Lane `i` of a group holds word `4g + i`.
+    let (dcba, hgfe) = digest_halves(abef[0], cdgh[0]);
+    let reverse = |x| _mm_shuffle_epi32(x, 0x1b);
+    let (abef, cdgh) = state_regs(outer);
+    let (mut abef, mut cdgh) = ([abef], [cdgh]);
+    compress_block(
+        &mut abef,
+        &mut cdgh,
+        [
+            [reverse(dcba)],
+            [reverse(hgfe)],
+            [_mm_set_epi32(0, 0, 0, i32::MIN)],
+            [_mm_set_epi32(768, 0, 0, 0)],
+        ],
+    );
+    // Each half's words, last first, byte-reversed whole: the digest's
+    // big-endian words in order.
+    let (dcba, hgfe) = digest_halves(abef[0], cdgh[0]);
+    let bytes_reversed = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+    let mut digest = [0; DIGEST_SIZE];
+    digest[..16].copy_from_slice(&store(_mm_shuffle_epi8(dcba, bytes_reversed)));
+    digest[16..].copy_from_slice(&store(_mm_shuffle_epi8(hgfe, bytes_reversed)));
+    digest
+}
+
+/// The state a register pair holds as the words `(D, C, B, A)` and
+/// `(H, G, F, E)`, lane 0 first.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn digest_halves(abef: __m128i, cdgh: __m128i) -> (__m128i, __m128i) {
+    (
+        _mm_unpackhi_epi64(cdgh, abef),
+        _mm_unpacklo_epi64(cdgh, abef),
+    )
+}
+
+/// A state `[A..H]` as the `(A, B, E, F)` / `(C, D, G, H)` register pair.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn state_regs(state: &[u32; 8]) -> (__m128i, __m128i) {
+    let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+    (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h))
+}
+
+/// The state `[A..H]` a register pair holds.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn state_words(abef: __m128i, cdgh: __m128i) -> [u32; 8] {
+    let [f, e, b, a] = lanes(abef);
+    let [h, g, d, c] = lanes(cdgh);
+    [a, b, c, d, e, f, g, h]
+}
+
+/// Four big-endian message words as a register, word 0 in lane 0.
+#[inline]
+#[target_feature(enable = "ssse3")]
+fn message_group(bytes: &[u8]) -> __m128i {
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    _mm_shuffle_epi8(load(bytes), bswap)
+}
+
+/// One 64-byte block, given as its four message groups, compressed
+/// into every lane's state.
+#[inline]
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn compress_block<const N: usize>(
+    abef: &mut [__m128i; N],
+    cdgh: &mut [__m128i; N],
+    w: [[__m128i; N]; 4],
+) {
+    let (abef_in, cdgh_in) = (*abef, *cdgh);
+    // Group `r` is message words 4r..4r+4. Groups 0–3 come from the
+    // block; each later one is scheduled from the four before it,
+    // overwriting the oldest, so `w0..w3` act as a ring.
+    let [mut w0, mut w1, mut w2, mut w3] = w;
+    rounds4(abef, cdgh, w0, 0);
+    rounds4(abef, cdgh, w1, 1);
+    rounds4(abef, cdgh, w2, 2);
+    rounds4(abef, cdgh, w3, 3);
+    for r in (4..16).step_by(4) {
+        w0 = schedule(w0, w1, w2, w3);
+        rounds4(abef, cdgh, w0, r);
+        w1 = schedule(w1, w2, w3, w0);
+        rounds4(abef, cdgh, w1, r + 1);
+        w2 = schedule(w2, w3, w0, w1);
+        rounds4(abef, cdgh, w2, r + 2);
+        w3 = schedule(w3, w0, w1, w2);
+        rounds4(abef, cdgh, w3, r + 3);
+    }
+    for l in 0..N {
+        abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+        cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
     }
 }
 

@@ -19,6 +19,7 @@
 //! two lanes of one SHA-NI kernel call. A 256-byte leaf costs six
 //! compressions and an inner node two.
 
+use crate::hmac::HmacKey;
 use crate::sha256::{self, Digest};
 
 /// Domain tag that opens every leaf's HMAC message.
@@ -30,34 +31,10 @@ const LEAF_PREFIX: usize = LEAF_TAG.len() + 8;
 /// An inner node's SHA-256 input, `"merkle-node-v1" || left || right`
 /// with its padding (two blocks), the children left blank at
 /// [`NODE_LEFT`].
-const NODE_TEMPLATE: [u8; 128] = padded(b"merkle-node-v1", NODE_LEFT + 64, 0);
+const NODE_TEMPLATE: [u8; 128] = sha256::padded(b"merkle-node-v1", NODE_LEFT + 64, 0);
 
 /// Offset of the left child in [`NODE_TEMPLATE`]; the right follows it.
 const NODE_LEFT: usize = 14;
-
-/// A leaf's outer message after the `opad` block, the 32-byte inner
-/// digest (left blank) with its padding: one block.
-const OUTER_TEMPLATE: [u8; 64] = padded(b"", 32, 64);
-
-/// `LEN` bytes holding `tag`, then blanks up to byte `end`, then the
-/// SHA-256 padding of a message that ends there after `hashed` bytes
-/// already absorbed.
-const fn padded<const LEN: usize>(tag: &[u8], end: usize, hashed: usize) -> [u8; LEN] {
-    let mut block = [0u8; LEN];
-    let mut i = 0;
-    while i < tag.len() {
-        block[i] = tag[i];
-        i += 1;
-    }
-    block[end] = 0x80;
-    let bits = ((hashed + end) as u64 * 8).to_be_bytes();
-    let mut i = 0;
-    while i < 8 {
-        block[LEN - 8 + i] = bits[i];
-        i += 1;
-    }
-    block
-}
 
 /// The root of the keyed Merkle tree over `data`, split into
 /// `chunk_size`-byte chunks (the last may be short) and padded with
@@ -102,15 +79,11 @@ pub fn root(key: &[u8; 32], data: &[u8], chunk_size: usize) -> Digest {
 /// (u64 LE) || chunk`, held as the two SHA-256 midstates every leaf
 /// under the key starts from (after the `ipad` and `opad` key blocks),
 /// taken once per root.
-struct LeafMac {
-    inner: [u32; 8],
-    outer: [u32; 8],
-}
+struct LeafMac(HmacKey);
 
 impl LeafMac {
     fn new(key: &[u8; 32]) -> LeafMac {
-        let [inner, outer] = crate::hmac::pad_midstates(key);
-        LeafMac { inner, outer }
+        LeafMac(HmacKey::new(key))
     }
 
     /// Hashes each `(index, chunk)` of `leaves` into the next slot of
@@ -138,7 +111,7 @@ impl LeafMac {
     /// The leaf hashes of `N` leaves whose chunks have one length: the
     /// inner hashes run as `N` SHA-256 lanes from the `ipad` midstate,
     /// then the one-block outer hashes as `N` lanes from the `opad`
-    /// midstate.
+    /// midstate ([`HmacKey::finish`]).
     ///
     /// Each inner message is `"merkle-leaf-v1" || index || chunk` and its
     /// padding. The whole blocks that lie inside the chunk are hashed
@@ -152,7 +125,7 @@ impl LeafMac {
             message[..LEAF_TAG.len()].copy_from_slice(LEAF_TAG);
             message[LEAF_TAG.len()..LEAF_PREFIX].copy_from_slice(&(index as u64).to_le_bytes());
         };
-        let mut inner = [self.inner; N];
+        let mut inner = [self.0.inner; N];
         if message_len < 2 * 64 {
             // No whole block inside the chunk: assemble all of it.
             let mut messages = [[0u8; 3 * 64]; N];
@@ -187,14 +160,7 @@ impl LeafMac {
             sha256::compress_lanes(&mut inner, tails.each_ref().map(|t| &t[..tail_len]));
         }
 
-        // The outer message after `opad` is the 32-byte inner digest.
-        let mut blocks = [OUTER_TEMPLATE; N];
-        for (block, inner) in blocks.iter_mut().zip(&inner) {
-            block[..32].copy_from_slice(&sha256::state_digest(inner));
-        }
-        let mut outer = [self.outer; N];
-        sha256::compress_lanes(&mut outer, blocks.each_ref().map(|b| &b[..]));
-        outer.map(|state| sha256::state_digest(&state))
+        self.0.finish(&inner)
     }
 }
 

@@ -153,6 +153,26 @@ pub(crate) fn state_digest(state: &[u32; 8]) -> Digest {
     out
 }
 
+/// `LEN` bytes holding `tag`, then blanks up to byte `end`, then the
+/// SHA-256 padding of a message that ends there after `hashed` bytes
+/// already absorbed.
+pub(crate) const fn padded<const LEN: usize>(tag: &[u8], end: usize, hashed: usize) -> [u8; LEN] {
+    let mut block = [0u8; LEN];
+    let mut i = 0;
+    while i < tag.len() {
+        block[i] = tag[i];
+        i += 1;
+    }
+    block[end] = 0x80;
+    let bits = ((hashed + end) as u64 * 8).to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        block[LEN - 8 + i] = bits[i];
+        i += 1;
+    }
+    block
+}
+
 /// Compresses each whole 64-byte block of `blocks` into `state`.
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     compress_lanes(core::array::from_mut(state), [blocks]);

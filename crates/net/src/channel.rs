@@ -36,8 +36,15 @@ pub struct Channel {
     class: LinkClass,
     model: LatencyModel,
     clock: SimClock,
-    adversary: Arc<Mutex<Box<dyn Adversary>>>,
-    fault_plane: Arc<Mutex<Option<FaultPlane>>>,
+    taps: Arc<Mutex<Taps>>,
+}
+
+/// What acts on a channel's messages, shared across its clones: the
+/// adversary on the sender's side of the wire and the fault plane
+/// beyond it. One lock guards both, so a message takes one lock.
+struct Taps {
+    adversary: Box<dyn Adversary>,
+    fault_plane: Option<FaultPlane>,
 }
 
 /// What one [`Channel::transmit_ext`] actually delivered.
@@ -75,19 +82,21 @@ impl Channel {
             class,
             model,
             clock,
-            adversary: Arc::new(Mutex::new(Box::new(Honest))),
-            fault_plane: Arc::new(Mutex::new(None)),
+            taps: Arc::new(Mutex::new(Taps {
+                adversary: Box::new(Honest),
+                fault_plane: None,
+            })),
         }
     }
 
     /// Installs a fault plane on this channel (shared across clones).
     pub fn set_fault_plane(&self, plane: FaultPlane) {
-        *self.fault_plane.lock() = Some(plane);
+        self.taps.lock().fault_plane = Some(plane);
     }
 
     /// Removes the fault plane, restoring a fault-free link.
     pub fn clear_fault_plane(&self) {
-        *self.fault_plane.lock() = None;
+        self.taps.lock().fault_plane = None;
     }
 
     /// Source endpoint name.
@@ -110,13 +119,13 @@ impl Channel {
     pub fn interpose<A: Adversary + 'static>(&self, adversary: A) -> AdversaryHandle<A> {
         let shared = Arc::new(Mutex::new(adversary));
         let for_channel = Arc::clone(&shared);
-        *self.adversary.lock() = Box::new(SharedAdversary(for_channel));
+        self.taps.lock().adversary = Box::new(SharedAdversary(for_channel));
         AdversaryHandle(shared)
     }
 
     /// Restores the honest pass-through interposer.
     pub fn clear_adversary(&self) {
-        *self.adversary.lock() = Box::new(Honest);
+        self.taps.lock().adversary = Box::new(Honest);
     }
 
     /// Moves `payload` across the link: charges the clock, lets the
@@ -186,6 +195,22 @@ impl Channel {
         })
     }
 
+    /// [`transmit_ext`](Channel::transmit_ext) without a copy on an
+    /// honest link: the receiver observes `payload` itself, borrowed,
+    /// when the sender's bytes arrive unaltered. Tampered, held-back and
+    /// duplicated messages arrive owned.
+    ///
+    /// # Errors
+    ///
+    /// As [`transmit_ext`](Channel::transmit_ext).
+    pub fn transmit_borrowed<'p>(
+        &self,
+        payload: &'p [u8],
+        deadline: Option<Duration>,
+    ) -> Result<Cow<'p, [u8]>, NetError> {
+        self.carry(payload, deadline).map(|(bytes, _)| bytes)
+    }
+
     /// The one transmit path behind every entry point: charges the link,
     /// lets the adversary and the fault plane act, and returns what the
     /// receiver observes — `payload` itself, borrowed, unless the message
@@ -210,10 +235,11 @@ impl Channel {
 
         // The adversary taps the sender's side of the wire first; the
         // fault plane models the fabric beyond it.
-        let verdict = self
-            .adversary
-            .lock()
-            .on_message(&self.src, &self.dst, payload);
+        let (verdict, plane) = {
+            let mut taps = self.taps.lock();
+            let verdict = taps.adversary.on_message(&self.src, &self.dst, payload);
+            (verdict, taps.fault_plane.clone())
+        };
         let bytes = match verdict {
             Verdict::Pass => Cow::Borrowed(payload),
             Verdict::Tamper(replacement) => Cow::Owned(replacement),
@@ -226,7 +252,6 @@ impl Channel {
             return Err(NetError::TimedOut);
         }
 
-        let plane = self.fault_plane.lock().clone();
         let Some(plane) = plane else {
             return Ok((bytes, false));
         };
@@ -369,6 +394,30 @@ mod tests {
         let got = chan.transmit_shared(&sent, None).unwrap();
         assert!(!Arc::ptr_eq(&got, &sent));
         assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn borrowed_transmit_delivers_the_senders_bytes_unless_altered() {
+        use crate::adversary::CrossReplayer;
+        let chan = test_channel();
+        let sent = b"sealed register op".to_vec();
+        let got = chan.transmit_borrowed(&sent, None).unwrap();
+        assert!(
+            matches!(got, Cow::Borrowed(bytes) if std::ptr::eq(bytes, &sent[..])),
+            "honest link: the sender's bytes, at the same address"
+        );
+
+        chan.interpose(BitFlipper::new(0, 0));
+        let got = chan.transmit_borrowed(&sent, None).unwrap();
+        assert!(matches!(got, Cow::Owned(_)));
+        assert_eq!(got[0], b's' ^ 1);
+        assert_eq!(sent, b"sealed register op");
+
+        // The second message is replaced by the first: owned.
+        chan.interpose(CrossReplayer::new(0, 1));
+        chan.transmit_borrowed(b"first", None).unwrap();
+        let got = chan.transmit_borrowed(&sent, None).unwrap();
+        assert!(matches!(got, Cow::Owned(ref bytes) if bytes == b"first"));
     }
 
     #[test]
